@@ -2,11 +2,9 @@
 //! workload per group × measure, compute disparities, and flag groups
 //! whose disparity exceeds the fairness threshold.
 
-use crate::confusion::ConfusionMatrix;
 use crate::fairness::{Disparity, FairnessMeasure, Paradigm};
 use crate::matcher::MatcherFailure;
 use crate::sensitive::{GroupId, GroupSpace};
-use crate::shard::PairCounts;
 use crate::workload::Workload;
 
 /// Audit configuration (the demo's Step-3 form).
@@ -129,48 +127,6 @@ impl AuditReport {
     }
 }
 
-/// Where an audit's confusion matrices come from: a materialized
-/// [`Workload`] (the in-memory path) or a merged [`PairCounts`]
-/// histogram (the sharded out-of-core path). Both produce exact
-/// integer-valued matrices, so the shared audit loop is bit-for-bit
-/// identical over either source.
-trait ConfusionSource {
-    fn overall(&self) -> ConfusionMatrix;
-    fn group(&self, g: GroupId) -> ConfusionMatrix;
-    fn support(&self, g: GroupId) -> usize;
-    fn pairwise(&self, g1: GroupId, g2: GroupId) -> ConfusionMatrix;
-}
-
-impl ConfusionSource for Workload {
-    fn overall(&self) -> ConfusionMatrix {
-        self.overall_confusion()
-    }
-    fn group(&self, g: GroupId) -> ConfusionMatrix {
-        self.group_confusion(g)
-    }
-    fn support(&self, g: GroupId) -> usize {
-        self.group_support(g)
-    }
-    fn pairwise(&self, g1: GroupId, g2: GroupId) -> ConfusionMatrix {
-        self.pairwise_confusion(g1, g2)
-    }
-}
-
-impl ConfusionSource for PairCounts {
-    fn overall(&self) -> ConfusionMatrix {
-        self.overall_confusion()
-    }
-    fn group(&self, g: GroupId) -> ConfusionMatrix {
-        self.group_confusion(g)
-    }
-    fn support(&self, g: GroupId) -> usize {
-        self.group_support(g)
-    }
-    fn pairwise(&self, g1: GroupId, g2: GroupId) -> ConfusionMatrix {
-        self.pairwise_confusion(g1, g2)
-    }
-}
-
 /// Executes audits over workloads.
 #[derive(Debug, Clone, Default)]
 pub struct Auditor {
@@ -186,42 +142,13 @@ impl Auditor {
 
     /// Audit one matcher's workload over a group space.
     pub fn audit(&self, matcher: &str, workload: &Workload, space: &GroupSpace) -> AuditReport {
-        self.audit_source(matcher, workload, workload.threshold, space)
-    }
-
-    /// Audit one matcher from a merged shard histogram instead of a
-    /// materialized workload — the out-of-core entry point. Because
-    /// every confusion quantity is recomputed from exact integer
-    /// buckets (see [`crate::shard::PairCounts`]), the report is
-    /// bit-for-bit the one [`Auditor::audit`] produces on the
-    /// concatenated workload at the same threshold.
-    pub fn audit_counts(
-        &self,
-        matcher: &str,
-        counts: &PairCounts,
-        matching_threshold: f64,
-        space: &GroupSpace,
-    ) -> AuditReport {
-        self.audit_source(matcher, counts, matching_threshold, space)
-    }
-
-    /// The one audit implementation both entry points share: the same
-    /// loop, the same [`Auditor::entry`] arithmetic, differing only in
-    /// where confusion matrices come from.
-    fn audit_source(
-        &self,
-        matcher: &str,
-        source: &dyn ConfusionSource,
-        matching_threshold: f64,
-        space: &GroupSpace,
-    ) -> AuditReport {
-        let overall = source.overall();
+        let overall = workload.overall_confusion();
         let mut entries = Vec::new();
         match self.config.paradigm {
             Paradigm::Single => {
                 for g in space.ids() {
-                    let cm = source.group(g);
-                    let support = source.support(g);
+                    let cm = workload.group_confusion(g);
+                    let support = workload.group_support(g);
                     for &measure in &self.config.measures {
                         entries.push(self.entry(
                             matcher,
@@ -240,7 +167,7 @@ impl Auditor {
                 let groups = space.level1_of_attr(self.config.pairwise_attr);
                 for (i, &g1) in groups.iter().enumerate() {
                     for &g2 in &groups[i..] {
-                        let cm = source.pairwise(g1, g2);
+                        let cm = workload.pairwise_confusion(g1, g2);
                         let support = cm.total() as usize;
                         let name = format!("{}×{}", space.name(g1), space.name(g2));
                         for &measure in &self.config.measures {
@@ -264,7 +191,7 @@ impl Auditor {
         }
         AuditReport {
             matcher: matcher.to_owned(),
-            matching_threshold,
+            matching_threshold: workload.threshold,
             fairness_threshold: self.config.fairness_threshold,
             entries,
             degraded: Vec::new(),
@@ -419,34 +346,6 @@ mod tests {
         let mixed = report.entries.iter().find(|e| e.group == "cn×us").unwrap();
         assert!((mixed.group_value - 1.0).abs() < 1e-12);
         assert_eq!(mixed.disparity, 0.0);
-    }
-
-    #[test]
-    fn counts_audit_is_bitwise_identical_to_workload_audit() {
-        let w = biased_workload();
-        let mut counts = PairCounts::new();
-        for item in &w.items {
-            counts.record(item.left, item.right, w.prediction(item), item.truth);
-        }
-        for paradigm in [Paradigm::Single, Paradigm::Pairwise] {
-            let auditor = Auditor::new(AuditConfig {
-                paradigm,
-                min_support: 2,
-                ..AuditConfig::default()
-            });
-            let from_workload = auditor.audit("X", &w, &space());
-            let from_counts = auditor.audit_counts("X", &counts, w.threshold, &space());
-            assert_eq!(from_workload.entries.len(), from_counts.entries.len());
-            for (a, b) in from_workload.entries.iter().zip(&from_counts.entries) {
-                assert_eq!(a.group, b.group);
-                assert_eq!(a.measure, b.measure);
-                assert_eq!(a.group_value.to_bits(), b.group_value.to_bits(), "{}", a.group);
-                assert_eq!(a.overall_value.to_bits(), b.overall_value.to_bits());
-                assert_eq!(a.disparity.to_bits(), b.disparity.to_bits());
-                assert_eq!(a.support, b.support);
-                assert_eq!(a.unfair, b.unfair);
-            }
-        }
     }
 
     #[test]

@@ -101,8 +101,11 @@ pub enum SuiteError {
     /// The memory budget refused a stage's declared footprint. The
     /// numbers are the deterministic cost-model bytes (declared sizes,
     /// never allocator measurements), so the same configuration fails
-    /// identically on every machine. The remedy is sharded execution
-    /// (`--shards`) or a larger `--mem-budget`.
+    /// identically on every machine. Scoring windows already narrow to
+    /// fit, so this means the training build (twice the training
+    /// matrix), the resident training matrix plus retained score
+    /// vectors, or a one-pair window on top of them does not fit; the
+    /// remedy is a larger `--mem-budget`.
     MemExceeded {
         /// Stage whose build did not fit.
         stage: Stage,
@@ -151,8 +154,7 @@ impl std::fmt::Display for SuiteError {
             } => write!(
                 f,
                 "memory budget exceeded at {stage}: need {requested} B with {in_use} B \
-                 already resident (limit {limit} B); shard the run (--shards) or raise \
-                 --mem-budget"
+                 already resident (limit {limit} B); raise --mem-budget"
             ),
             SuiteError::TimedOut {
                 stage,
@@ -254,7 +256,7 @@ mod tests {
         assert!(s.contains("memory budget exceeded at feature-gen"), "{s}");
         assert!(s.contains("need 4096 B"), "{s}");
         assert!(s.contains("limit 2048 B"), "{s}");
-        assert!(s.contains("--shards"), "{s}");
+        assert!(s.contains("raise --mem-budget"), "{s}");
     }
 
     #[test]

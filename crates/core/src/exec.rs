@@ -1,8 +1,7 @@
 //! The unified execution context for batch APIs.
 //!
 //! Every fan-out entry point used to take its own ad-hoc combination of
-//! pool / token / budget arguments (`matrix`, `matrix_with`,
-//! `matrix_within`, ...). [`Exec`] folds them into one context struct a
+//! pool / token / budget arguments. [`Exec`] folds them into one context struct a
 //! caller builds once and threads everywhere, and [`PairBatch`] names
 //! the unit of work those entry points consume. The defaults are the
 //! hermetic ones: sequential pool, inert cancel token, unlimited

@@ -101,7 +101,7 @@ pub use fairem_par::{
     Budget, CancelToken, Interrupt, MemBudget, MemTracker, ParOutcome, Parallelism, WorkerPool,
 };
 pub use pipeline::{FairEm360, MatcherPerformance, Session, SuiteBuilder, SuiteConfig};
-pub use shard::{window_len, PairCounts, Shard, ShardPlan, ShardPolicy};
+pub use shard::{window_len, Shard, ShardPlan, ShardPolicy};
 pub use quarantine::{QuarantineReport, QuarantinedRow, RowIssue};
 pub use resolution::{Feedback, Proposal, ResolutionSession};
 pub use schema::Table;

@@ -17,7 +17,7 @@ use fairem_calib::{CalibrationSpec, GroupCalibrator};
 use crate::audit::{AuditReport, Auditor};
 use crate::blocking::Blocker;
 use crate::calibrate::{self, CalibratedAudit};
-use crate::ckpt::{fnv1a64, CheckpointStore, ShardRecord};
+use crate::ckpt::{fnv1a64, CheckpointStore, ShardRecord, CKPT_SCHEMA};
 use crate::ensemble::EnsembleExplorer;
 use crate::error::{Stage, SuiteError, SuiteResult};
 use crate::exec::{Exec, PairBatch};
@@ -27,13 +27,13 @@ use crate::fault::{self, FaultPlan, FaultSite};
 use crate::features::{FeatureGenerator, MatrixError};
 use crate::matcher::{
     sanitize_scores, ExternalScores, Matcher, MatcherFailure, MatcherKind, MatcherRegistry,
-    MatcherTrainConfig, TrainInput,
+    MatcherTrainConfig, TrainInput, TrainedMatcher,
 };
 use crate::prep::{default_blocker, prepare_with, PrepConfig, PreparedData};
 use crate::quarantine::QuarantineReport;
-use crate::schema::{SchemaError, Table};
+use crate::schema::Table;
 use crate::sensitive::{GroupId, GroupSpace, GroupVector, SensitiveAttr};
-use crate::shard::{window_len, PairCounts, ShardPlan, ShardPolicy};
+use crate::shard::{window_len, ShardPlan, ShardPolicy};
 use crate::workload::{Correspondence, Workload};
 
 /// Suite-wide configuration.
@@ -81,14 +81,15 @@ pub struct SuiteConfig {
     /// touching prep.
     pub blocker: Option<std::sync::Arc<dyn Blocker>>,
     /// Memory budget over the deterministic cost model (feature-matrix
-    /// bytes). Unlimited by default; a finite budget makes the
-    /// fully-materialized path fail with [`SuiteError::MemExceeded`]
-    /// when a declared build does not fit, while the sharded path
-    /// ([`FairEm360::try_run_sharded`]) narrows its scoring windows to
-    /// stay inside it.
+    /// and retained score-vector bytes). Unlimited by default; under a
+    /// finite budget the scoring windows narrow to stay inside it, and
+    /// only a budget below the floor fails, with
+    /// [`SuiteError::MemExceeded`]: the larger of the training build
+    /// (twice the training matrix) and the training matrix plus the
+    /// retained score vectors plus a one-pair window.
     pub mem_budget: MemBudget,
-    /// Shard count, checkpoint directory, and resume flag for the
-    /// out-of-core path. Ignored by [`FairEm360::try_run`].
+    /// Shard count, checkpoint directory, and resume flag for scoring
+    /// the test split. No setting changes a result.
     pub shard: ShardPolicy,
     /// Per-group score-calibration policy (ref \[10\] style). `None`
     /// (the default) audits raw scores only; a spec makes
@@ -245,11 +246,10 @@ impl SuiteBuilder {
         self
     }
 
-    /// Number of shards for the out-of-core path (shorthand for
-    /// mutating [`ShardPolicy::shards`]): with `n > 1`,
-    /// [`FairEm360::try_run_sharded`] partitions the test pair space
-    /// into `n` contiguous shards and audits from merged histograms,
-    /// bit-for-bit identical to the unsharded run.
+    /// Number of test-split shards (shorthand for mutating
+    /// [`ShardPolicy::shards`]): the test pairs are cut into `n`
+    /// contiguous shards, each scored and checkpointed on its own. The
+    /// session is bit-for-bit the one-shard session.
     pub fn shards(mut self, n: usize) -> SuiteBuilder {
         self.config.shard.shards = n;
         self
@@ -262,7 +262,7 @@ impl SuiteBuilder {
         self
     }
 
-    /// Directory for `fairem-ckpt/1` shard checkpoints (shorthand for
+    /// Directory for `fairem-ckpt/2` shard checkpoints (shorthand for
     /// mutating [`ShardPolicy::checkpoint_dir`]). Each completed shard
     /// is committed there with atomic rename, so a killed run can be
     /// resumed.
@@ -358,27 +358,6 @@ impl FairEm360 {
         &self.quarantine
     }
 
-    /// Import a Magellan-shaped dataset: two tables, ground-truth match
-    /// id pairs, and the sensitive attributes to audit on. Strict: any
-    /// schema violation is an error. Use [`FairEm360::import_with`] for
-    /// the quarantining (fault-tolerant) path.
-    #[deprecated(note = "use FairEm360::builder()")]
-    pub fn import(
-        table_a: CsvTable,
-        table_b: CsvTable,
-        matches: Vec<(String, String)>,
-        sensitive: Vec<SensitiveAttr>,
-    ) -> Result<FairEm360, SchemaError> {
-        Ok(FairEm360 {
-            table_a: Table::from_csv(table_a)?,
-            table_b: Table::from_csv(table_b)?,
-            matches,
-            sensitive,
-            config: SuiteConfig::default(),
-            quarantine: QuarantineReport::default(),
-        })
-    }
-
     /// Fault-tolerant import: rows with empty or duplicate ids are
     /// quarantined (first occurrence kept) instead of failing the whole
     /// dataset, and the returned [`QuarantineReport`] itemizes every
@@ -443,29 +422,12 @@ impl FairEm360 {
         self
     }
 
-    /// Step 2 (matcher selection) + training: run the Matching-and-
-    /// Evaluation flow with the given integrated matchers, producing a
-    /// [`Session`] holding trained matchers and the scored test split.
+    /// Step 2 (matcher selection) + training + scoring: run the
+    /// Matching-and-Evaluation flow with the given integrated matchers,
+    /// producing a [`Session`] that holds the trained fleet and every
+    /// survivor's validation and test scores.
     ///
-    /// # Panics
-    /// On any stage or matcher failure. Use [`FairEm360::try_run`] for
-    /// degraded-mode execution.
-    #[deprecated(note = "use FairEm360::builder() and try_run()")]
-    pub fn run(self, kinds: &[MatcherKind]) -> Session {
-        match self.try_run(kinds) {
-            Ok(session) => {
-                if let Some(f) = session.failures().first() {
-                    // fairem: allow(panic) — documented # Panics contract on the deprecated run() wrapper
-                    panic!("matcher failed: {f}");
-                }
-                session
-            }
-            // fairem: allow(panic) — documented # Panics contract on the deprecated run() wrapper
-            Err(e) => panic!("suite execution failed: {e}"),
-        }
-    }
-
-    /// Fault-tolerant run: stage panics become [`SuiteError::Stage`],
+    /// Fault-tolerant: stage panics become [`SuiteError::Stage`],
     /// per-matcher train/score panics degrade the session instead of
     /// aborting it (the survivors are still audited), and every matcher
     /// score passes a non-finite/out-of-range clamp before thresholding.
@@ -478,31 +440,26 @@ impl FairEm360 {
     /// [`SuiteConfig::cancel`]) stops the run at the next checkpoint
     /// with [`SuiteError::TimedOut`]. With everything unlimited (the
     /// default) the run is bit-for-bit the unbudgeted one.
+    ///
+    /// Scoring is out of core by construction: the test split is cut
+    /// into [`ShardPolicy::shards`] contiguous shards, each featurized in
+    /// windows that fit [`SuiteConfig::mem_budget`], and checkpointed
+    /// per [`ShardPolicy::checkpoint_dir`]. None of it changes a result.
     pub fn try_run(self, kinds: &[MatcherKind]) -> SuiteResult<Session> {
         self.run_front(kinds)?.into_session()
     }
 
-    /// The sharded, out-of-core variant of [`FairEm360::try_run`]: the
-    /// shared front (prep → blocking → feature build → training) runs
-    /// globally, then the *test* split is partitioned by a deterministic
-    /// [`ShardPlan`] and each shard is featurized, scored, and
-    /// accumulated into per-matcher [`PairCounts`] histograms inside the
-    /// memory budget — the full test feature matrix never exists. With a
-    /// checkpoint directory configured, each completed shard is
-    /// committed atomically and [`ShardPolicy::resume`] reuses committed
-    /// shards from an earlier (killed) run of the same key. The returned
-    /// [`ShardedRun`] audits bit-for-bit identically to
-    /// [`Session::audit_all`] on the same configuration.
-    pub fn try_run_sharded(self, kinds: &[MatcherKind]) -> SuiteResult<ShardedRun> {
-        self.run_front(kinds)?.into_sharded()
+    /// The same as [`FairEm360::try_run`], which honors the shard
+    /// policy itself; kept for callers written against the name.
+    pub fn try_run_sharded(self, kinds: &[MatcherKind]) -> SuiteResult<Session> {
+        self.try_run(kinds)
     }
 
-    /// The shared front of both execution paths: prep → blocking →
-    /// feature-generator build → train-split featurization → training.
-    /// Everything here is global on purpose — the TF-IDF corpus, the
-    /// splits, and the trained matchers must see identical data in both
-    /// paths, which is what makes the sharded back half bit-for-bit
-    /// equivalent to the in-memory one.
+    /// The front of the run: prep → blocking → feature-generator build →
+    /// train-split featurization → training. Everything here is global
+    /// on purpose — the TF-IDF corpus, the splits, and the trained
+    /// matchers see all the data, which is what makes the windowed,
+    /// sharded back half independent of where its windows fall.
     fn run_front(self, kinds: &[MatcherKind]) -> SuiteResult<Front> {
         let FairEm360 {
             table_a,
@@ -603,7 +560,7 @@ impl FairEm360 {
         let vocab = HashVocab::new(config.vocab_size);
 
         let (train_pairs, train_labels) = prepared.split(&prepared.train_idx);
-        let train_features = feature_matrix(&features, &exec, &obs, "train", &train_pairs)?;
+        let train_features = feature_matrix(&features, &exec, None, "train", &train_pairs)?;
         // The training matrix stays resident for the whole run (repair /
         // calibration reuse it), so its cost is persisted on the account.
         exec.mem
@@ -656,9 +613,8 @@ impl FairEm360 {
     }
 }
 
-/// Everything both execution back halves need from the shared front:
-/// built features, trained fleet, splits, and the run's execution
-/// handles.
+/// Everything the back half needs from the front: built features,
+/// trained fleet, splits, and the run's execution handles.
 struct Front {
     table_a: Table,
     table_b: Table,
@@ -684,9 +640,17 @@ struct Front {
 }
 
 impl Front {
-    /// The in-memory back half: materialize the valid and test feature
-    /// matrices, score the whole test split per matcher, and assemble a
-    /// [`Session`].
+    /// The back half: score the validation and test splits and assemble
+    /// a [`Session`]. Both splits are featurized in windows as wide as
+    /// the memory budget allows, and each window's matrix is dropped as
+    /// soon as the fleet has scored it; only the score vectors stay.
+    /// The test split is first cut into a deterministic [`ShardPlan`];
+    /// with a checkpoint directory each clean shard's raw scores are
+    /// committed, and [`ShardPolicy::resume`] reuses committed shards
+    /// from an earlier (killed) run of the same key. Scoring is per
+    /// pair, so the session is bit-for-bit the same for every shard
+    /// count, window width, and resume. With one shard and no budget
+    /// this is a single window per split.
     fn into_session(self) -> SuiteResult<Session> {
         let Front {
             table_a,
@@ -698,7 +662,7 @@ impl Front {
             features,
             vocab,
             registry,
-            mut failures,
+            failures,
             train_pairs,
             train_labels,
             train_features,
@@ -711,79 +675,156 @@ impl Front {
             plan,
             config,
         } = self;
-        let train_config = config.train;
-
-        let (valid_pairs, valid_labels) = prepared.split(&prepared.valid_idx);
-        let valid_features = feature_matrix(&features, &exec, &obs, "valid", &valid_pairs)?;
-        exec.mem
-            .try_hold(features.matrix_cost(valid_pairs.len()))
-            .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
-            .persist();
-        let valid_tokens = features.tokenize_all(&PairBatch::new(&valid_pairs), &vocab);
-
-        let (test_pairs, test_labels) = prepared.split(&prepared.test_idx);
-        let test_features = feature_matrix(&features, &exec, &obs, "test", &test_pairs)?;
-        exec.mem
-            .try_hold(features.matrix_cost(test_pairs.len()))
-            .map_err(|m| mem_exceeded(Stage::FeatureGen, m))?
-            .persist();
-        obs.gauge("mem.stage_peak_bytes.features", exec.mem.peak() as f64);
-        let test_tokens = features.tokenize_all(&PairBatch::new(&test_pairs), &vocab);
-
-        // Per-matcher scoring fan-out: each matcher is one isolated work
-        // item, so a scoring panic degrades only that matcher no matter
-        // how the pool schedules the fleet. Outcomes come back in
-        // registry order, keeping degradation bookkeeping deterministic.
-        // As at train time, each matcher scores under its own child of
-        // the suite token, so a budget cut removes only that matcher.
+        // The next stage is featurization (of the validation split).
         suite_token
             .checkpoint()
-            .map_err(|i| timed_out(Stage::Score, i))?;
+            .map_err(|i| timed_out(Stage::FeatureGen, i))?;
         let fleet: Vec<_> = registry.iter().collect();
-        let score_span = obs.span("score");
-        let outcomes = pool.par_map_isolated(fleet.len(), |i| {
-            let m = fleet[i];
-            let span = score_span.child(&format!("score.{}", m.name()));
-            // Pessimistic status (see train_isolated): a contained panic
-            // leaves the record at `Panicked`.
-            span.set_status(SpanStatus::Panicked);
-            let token = suite_token.child(config.matcher_budget);
-            let cut = |i: &Interrupt| cut_span(&span, i);
-            plan.stall_if_armed(FaultSite::Score, Some(m.kind()), &token)
-                .inspect_err(&cut)?;
-            token.checkpoint().inspect_err(&cut)?;
-            plan.trip(FaultSite::Score, Some(m.kind()));
-            let s = m.score_batch(&test_features, &test_tokens);
-            span.set_status(SpanStatus::Ok);
-            Ok(s)
-        });
-        drop(score_span);
-        let mut scores = HashMap::new();
-        let mut clamped_scores = 0usize;
-        for (m, outcome) in fleet.iter().zip(outcomes) {
-            match outcome {
-                Ok(Ok(mut s)) => {
-                    if plan.poisons(m.kind()) {
-                        plan.corrupt_scores(m.kind(), &mut s);
-                    }
-                    clamped_scores += sanitize_scores(&mut s);
-                    scores.insert(m.name().to_owned(), s);
+        let fleet_names: Vec<String> = fleet.iter().map(|m| m.name().to_owned()).collect();
+        let (valid_pairs, valid_labels) = prepared.split(&prepared.valid_idx);
+        let (test_pairs, test_labels) = prepared.split(&prepared.test_idx);
+
+        // The retained score vectors live as long as the session, so they
+        // are charged up front: a budget with no room for them next to the
+        // training matrix fails here, before any window is built.
+        let retained = 8 * ((valid_pairs.len() + test_pairs.len()) * fleet.len()) as u64;
+        exec.mem
+            .try_hold(retained)
+            .map_err(|m| mem_exceeded(Stage::Score, m))?
+            .persist();
+
+        // Both splits score through one scorer, so the validation split
+        // gets the same per-matcher token and fault discipline as the test
+        // split. A matcher it knocks out is skipped from then on and its
+        // partial scores are discarded.
+        let mut scorer = FleetScorer {
+            fleet: &fleet,
+            pool: &pool,
+            suite_token: &suite_token,
+            plan: &plan,
+            budget: config.matcher_budget,
+            dead: vec![false; fleet.len()],
+            failures,
+        };
+
+        // Validation scores, raw, for threshold tuning and calibration.
+        let mut valid_scores: Vec<Vec<f64>> = vec![Vec::new(); fleet.len()];
+        score_in_windows(
+            &features,
+            &vocab,
+            &exec,
+            None,
+            "valid",
+            &valid_pairs,
+            |matrix, tokens| scorer.score(None, matrix, tokens, &mut valid_scores),
+        )?;
+
+        let shard_plan = ShardPlan::partition(test_pairs.len(), config.shard.shards.max(1));
+        obs.gauge("shard.count", shard_plan.len() as f64);
+        let store = match &config.shard.checkpoint_dir {
+            Some(dir) => {
+                let key = run_key(
+                    &table_a,
+                    &table_b,
+                    &space,
+                    &config,
+                    &fleet_names,
+                    shard_plan.len(),
+                );
+                Some(CheckpointStore::open(
+                    dir,
+                    key,
+                    shard_plan.len(),
+                    config.shard.resume,
+                )?)
+            }
+            None => None,
+        };
+
+        // Raw test scores per matcher, aligned with `fleet`.
+        let mut test_scores: Vec<Vec<f64>> = vec![Vec::new(); fleet.len()];
+        for shard in shard_plan.shards() {
+            suite_token
+                .checkpoint()
+                .map_err(|i| timed_out(Stage::Score, i))?;
+            let shard_span = (shard_plan.len() > 1).then(|| {
+                let span = obs.span("shard");
+                span.note(format!(
+                    "shard {} [{}..{})",
+                    shard.index, shard.start, shard.end
+                ));
+                span
+            });
+            let resumed = store
+                .as_ref()
+                .filter(|_| config.shard.resume)
+                .and_then(|s| s.resume_shard(shard.index, shard.len(), &fleet_names, &obs));
+            if let Some(rec) = resumed {
+                for (acc, (_, s)) in test_scores.iter_mut().zip(rec.matchers) {
+                    acc.extend(s);
                 }
-                Ok(Err(interrupt)) => failures.push(MatcherFailure::interrupted(
-                    m.name(),
-                    Stage::Score,
-                    interrupt,
-                )),
-                Err(reason) => {
-                    failures.push(MatcherFailure::panicked(m.name(), Stage::Score, reason))
+                if let Some(span) = &shard_span {
+                    span.note("resumed from checkpoint");
+                }
+                continue;
+            }
+            let mut shard_scores: Vec<Vec<f64>> = vec![Vec::new(); fleet.len()];
+            let pairs = &test_pairs[shard.start..shard.end];
+            score_in_windows(
+                &features,
+                &vocab,
+                &exec,
+                shard_span.as_ref(),
+                "test",
+                pairs,
+                |matrix, toks| {
+                    let score_span = match &shard_span {
+                        Some(s) => s.child("score"),
+                        None => obs.span("score"),
+                    };
+                    scorer.score(Some(&score_span), matrix, toks, &mut shard_scores);
+                },
+            )?;
+            let rec = ShardRecord {
+                matchers: fleet_names.iter().cloned().zip(shard_scores).collect(),
+            };
+            // Checkpoint only clean shards: once the fleet is degraded, a
+            // shard record no longer describes the full fleet and a later
+            // resume must recompute it instead of trusting it.
+            if scorer.dead.iter().all(|&d| !d) {
+                if let Some(store) = &store {
+                    store.store_shard(shard.index, shard.len(), &rec)?;
+                    obs.add("ckpt.shards_written", 1);
                 }
             }
+            for (acc, (_, s)) in test_scores.iter_mut().zip(rec.matchers) {
+                acc.extend(s);
+            }
         }
-        if scores.is_empty() && (!failures.is_empty() || registry.iter().next().is_some()) {
+        let FleetScorer { dead, failures, .. } = scorer;
+        obs.gauge("mem.peak_bytes", exec.mem.peak() as f64);
+        obs.gauge("mem.stage_peak_bytes.score", exec.mem.peak() as f64);
+
+        // Poisoning and the clamp act on whole vectors, after the last
+        // shard, so they cannot depend on where shards or windows fell.
+        let mut scores = HashMap::new();
+        let mut valid = HashMap::new();
+        let mut clamped_scores = 0usize;
+        for (i, (mut s, v)) in test_scores.into_iter().zip(valid_scores).enumerate() {
+            if dead[i] {
+                continue;
+            }
+            let m = fleet[i];
+            if plan.poisons(m.kind()) {
+                plan.corrupt_scores(m.kind(), &mut s);
+            }
+            clamped_scores += sanitize_scores(&mut s);
+            scores.insert(m.name().to_owned(), s);
+            valid.insert(m.name().to_owned(), v);
+        }
+        if scores.is_empty() && (!failures.is_empty() || !fleet.is_empty()) {
             return Err(SuiteError::AllMatchersFailed { failures });
         }
-        obs.gauge("mem.peak_bytes", exec.mem.peak() as f64);
-        obs.gauge("shard.count", 1.0);
 
         // Pseudo-workload over the training split (scores = truth) for
         // train-side representation explanations.
@@ -813,238 +854,27 @@ impl Front {
             matching_threshold: config.matching_threshold,
             enc_a,
             enc_b,
+            vocab,
             test_pairs,
             test_labels,
-            test_features,
-            test_tokens,
             scores,
             train_workload,
             train_pairs,
             train_labels,
             train_features,
             train_tokens,
-            train_config,
+            train_config: config.train,
             valid_pairs,
             valid_labels,
-            valid_features,
-            valid_tokens,
+            valid_scores: valid,
             calibration: config.calibration,
             failures,
             quarantine,
             clamped_scores,
             parallelism: config.parallelism,
+            mem: exec.mem,
             cancel: suite_token,
             observe: obs,
-        })
-    }
-
-    /// The out-of-core back half: partition the test split with a
-    /// deterministic [`ShardPlan`], process each shard in budget-sized
-    /// windows (build window matrix → score → accumulate → drop), and
-    /// commit each completed shard to the checkpoint store.
-    fn into_sharded(self) -> SuiteResult<ShardedRun> {
-        let Front {
-            table_a,
-            table_b,
-            space,
-            enc_a,
-            enc_b,
-            prepared,
-            features,
-            vocab,
-            registry,
-            mut failures,
-            quarantine,
-            pool,
-            exec,
-            suite_token,
-            obs,
-            plan,
-            config,
-            ..
-        } = self;
-
-        let (test_pairs, test_labels) = prepared.split(&prepared.test_idx);
-        let shard_plan = ShardPlan::partition(test_pairs.len(), config.shard.shards.max(1));
-        obs.gauge("shard.count", shard_plan.len() as f64);
-
-        let fleet: Vec<_> = registry.iter().collect();
-        let fleet_names: Vec<String> = fleet.iter().map(|m| m.name().to_owned()).collect();
-
-        let store = match &config.shard.checkpoint_dir {
-            Some(dir) => {
-                let key = run_key(&table_a, &table_b, &space, &config, &fleet_names, shard_plan.len());
-                Some(CheckpointStore::open(
-                    dir,
-                    key,
-                    shard_plan.len(),
-                    config.shard.resume,
-                )?)
-            }
-            None => None,
-        };
-
-        // Per-matcher merged histograms, aligned with `fleet`. A matcher
-        // knocked out by a scoring failure mid-run is marked dead: it is
-        // excluded from the remaining shards and its partial histogram is
-        // discarded at the end, mirroring how the in-memory path drops a
-        // failed matcher's scores entirely.
-        let mut merged: Vec<PairCounts> = fleet.iter().map(|_| PairCounts::new()).collect();
-        let mut clamped_scores: u64 = 0;
-        let mut dead: Vec<bool> = vec![false; fleet.len()];
-        // Transient build bytes per pair (the staging-plus-matrix factor
-        // `try_matrix` declares) — drives the deterministic window width.
-        let per_pair = 2 * features.matrix_cost(1);
-
-        for shard in shard_plan.shards() {
-            suite_token
-                .checkpoint()
-                .map_err(|i| timed_out(Stage::Score, i))?;
-            let span = obs.span("shard");
-            span.note(format!(
-                "shard {} [{}..{})",
-                shard.index, shard.start, shard.end
-            ));
-            if config.shard.resume {
-                if let Some(store) = &store {
-                    if let Some(rec) = store.load_shard(shard.index) {
-                        let committed: Vec<&str> =
-                            rec.matchers.iter().map(|(n, _)| n.as_str()).collect();
-                        let current: Vec<&str> =
-                            fleet_names.iter().map(String::as_str).collect();
-                        if committed == current {
-                            for ((_, counts), acc) in rec.matchers.iter().zip(&mut merged) {
-                                acc.merge(counts);
-                            }
-                            clamped_scores += rec.clamped;
-                            obs.add("ckpt.shards_skipped", 1);
-                            span.note("resumed from checkpoint");
-                            continue;
-                        }
-                    }
-                    obs.add("ckpt.shards_recomputed", 1);
-                }
-            }
-            let mut rec = ShardRecord {
-                matchers: fleet_names
-                    .iter()
-                    .map(|n| (n.clone(), PairCounts::new()))
-                    .collect(),
-                clamped: 0,
-            };
-            let mut start = shard.start;
-            while start < shard.end {
-                let window = window_len(shard.end - start, exec.mem.headroom(), per_pair);
-                let end = (start + window).min(shard.end);
-                let pairs = &test_pairs[start..end];
-                let labels = &test_labels[start..end];
-                let batch = PairBatch::new(pairs);
-                let window_features = match features.try_matrix(&batch, &exec) {
-                    Err(MatrixError::Panic(p)) => {
-                        span.set_status(SpanStatus::Panicked);
-                        return Err(SuiteError::Stage {
-                            stage: Stage::FeatureGen,
-                            detail: p.to_string(),
-                        });
-                    }
-                    Err(MatrixError::Mem(m)) => {
-                        span.note(m.to_string());
-                        return Err(mem_exceeded(Stage::FeatureGen, m));
-                    }
-                    Ok(ParOutcome::Interrupted { interrupt, .. }) => {
-                        cut_span(&span, &interrupt);
-                        return Err(timed_out(Stage::FeatureGen, interrupt));
-                    }
-                    Ok(ParOutcome::Complete(m)) => m,
-                };
-                let tokens = features.tokenize_all(&batch, &vocab);
-                let live: Vec<usize> = (0..fleet.len()).filter(|&i| !dead[i]).collect();
-                let outcomes = pool.par_map_isolated(live.len(), |j| {
-                    let m = fleet[live[j]];
-                    let token = suite_token.child(config.matcher_budget);
-                    plan.stall_if_armed(FaultSite::Score, Some(m.kind()), &token)?;
-                    token.checkpoint()?;
-                    plan.trip(FaultSite::Score, Some(m.kind()));
-                    Ok(m.score_batch(&window_features, &tokens))
-                });
-                for (&fi, outcome) in live.iter().zip(outcomes) {
-                    let m = fleet[fi];
-                    match outcome {
-                        Ok(Ok(mut s)) => {
-                            if plan.poisons(m.kind()) {
-                                plan.corrupt_scores(m.kind(), &mut s);
-                            }
-                            rec.clamped += sanitize_scores(&mut s) as u64;
-                            let counts = &mut rec.matchers[fi].1;
-                            for ((&(ra, rb), &y), score) in
-                                pairs.iter().zip(labels).zip(&s)
-                            {
-                                counts.record(
-                                    enc_a[ra],
-                                    enc_b[rb],
-                                    *score >= config.matching_threshold,
-                                    y == 1.0,
-                                );
-                            }
-                        }
-                        Ok(Err(interrupt)) => {
-                            dead[fi] = true;
-                            failures.push(MatcherFailure::interrupted(
-                                m.name(),
-                                Stage::Score,
-                                interrupt,
-                            ));
-                        }
-                        Err(reason) => {
-                            dead[fi] = true;
-                            failures.push(MatcherFailure::panicked(
-                                m.name(),
-                                Stage::Score,
-                                reason,
-                            ));
-                        }
-                    }
-                }
-                start = end;
-            }
-            for (i, (_, counts)) in rec.matchers.iter().enumerate() {
-                merged[i].merge(counts);
-            }
-            clamped_scores += rec.clamped;
-            // Checkpoint only clean shards: once the fleet is degraded,
-            // shard records no longer describe the full fleet and a later
-            // resume must recompute instead of trusting them.
-            if dead.iter().all(|&d| !d) {
-                if let Some(store) = &store {
-                    store.store_shard(shard.index, &rec)?;
-                    obs.add("ckpt.shards_written", 1);
-                }
-            }
-        }
-        obs.gauge("mem.peak_bytes", exec.mem.peak() as f64);
-        obs.gauge("mem.stage_peak_bytes.score", exec.mem.peak() as f64);
-
-        let counts: Vec<(String, PairCounts)> = fleet_names
-            .iter()
-            .zip(merged)
-            .enumerate()
-            .filter(|&(i, _)| !dead[i])
-            .map(|(_, (n, c))| (n.clone(), c))
-            .collect();
-        if counts.is_empty() && (!failures.is_empty() || !fleet.is_empty()) {
-            return Err(SuiteError::AllMatchersFailed { failures });
-        }
-        Ok(ShardedRun {
-            space,
-            counts,
-            matching_threshold: config.matching_threshold,
-            failures,
-            quarantine,
-            clamped_scores: clamped_scores as usize,
-            parallelism: config.parallelism,
-            observe: obs,
-            test_size: test_pairs.len(),
-            shards: shard_plan.len(),
         })
     }
 }
@@ -1076,17 +906,21 @@ fn mem_exceeded(stage: Stage, m: MemPressure) -> SuiteError {
     }
 }
 
-/// Build one split's feature matrix under the run's execution context,
-/// converting panics, budget refusals, and cooperative cuts into suite
-/// errors.
+/// Build one feature matrix (a split, or a window of one) under the
+/// run's execution context, converting panics, budget refusals, and
+/// cooperative cuts into suite errors. The `features` span sits under
+/// `parent` when there is one (a shard), else at the root.
 fn feature_matrix(
     features: &FeatureGenerator,
     exec: &Exec,
-    obs: &Recorder,
+    parent: Option<&Span>,
     split: &str,
     pairs: &[(usize, usize)],
 ) -> SuiteResult<Matrix> {
-    let span = obs.span("features");
+    let span = match parent {
+        Some(p) => p.child("features"),
+        None => exec.recorder.span("features"),
+    };
     span.note(format!("{split} split: {} pair(s)", pairs.len()));
     match features.try_matrix(&PairBatch::new(pairs), exec) {
         Err(MatrixError::Panic(p)) => {
@@ -1105,6 +939,110 @@ fn feature_matrix(
             Err(timed_out(Stage::FeatureGen, interrupt))
         }
         Ok(ParOutcome::Complete(m)) => Ok(m),
+    }
+}
+
+/// Featurize `pairs` window by window — each window as wide as the
+/// memory headroom allows, at least one pair — and hand each window's
+/// matrix and tokens to `score` before the next window is built, so at
+/// most one window's matrix exists at a time. An empty split still
+/// makes one empty window, so every split leaves the same span shape.
+fn score_in_windows(
+    features: &FeatureGenerator,
+    vocab: &HashVocab,
+    exec: &Exec,
+    parent: Option<&Span>,
+    split: &str,
+    pairs: &[(usize, usize)],
+    mut score: impl FnMut(&Matrix, &[TokenPair]),
+) -> SuiteResult<()> {
+    // Transient build bytes per pair (the staging-plus-matrix factor
+    // `try_matrix` declares) — drives the deterministic window width.
+    let per_pair = 2 * features.matrix_cost(1);
+    let mut start = 0;
+    loop {
+        let width = window_len(pairs.len() - start, exec.mem.headroom(), per_pair);
+        let end = (start + width).min(pairs.len());
+        let window = &pairs[start..end];
+        let matrix = feature_matrix(features, exec, parent, split, window)?;
+        let tokens = features.tokenize_all(&PairBatch::new(window), vocab);
+        score(&matrix, &tokens);
+        start = end;
+        if start >= pairs.len() {
+            return Ok(());
+        }
+    }
+}
+
+/// Scores windows with the live fleet, for either split. Every matcher
+/// scores each window under a fresh child of the suite token, so the
+/// matcher budget applies per window and no shard count or window width
+/// changes who survives. A matcher that is cut or panics is marked dead
+/// and skipped from then on; its failure is recorded once.
+struct FleetScorer<'a> {
+    fleet: &'a [&'a TrainedMatcher],
+    pool: &'a WorkerPool,
+    suite_token: &'a CancelToken,
+    plan: &'a FaultPlan,
+    budget: Budget,
+    dead: Vec<bool>,
+    failures: Vec<MatcherFailure>,
+}
+
+impl FleetScorer<'_> {
+    /// Score one window, appending each survivor's scores to its slot in
+    /// `out`. `span` (the test split's `score` span) gets one
+    /// `score.<matcher>` child per live matcher; validation windows run
+    /// without spans.
+    fn score(
+        &mut self,
+        span: Option<&Span>,
+        matrix: &Matrix,
+        tokens: &[TokenPair],
+        out: &mut [Vec<f64>],
+    ) {
+        let live: Vec<usize> = (0..self.fleet.len()).filter(|&i| !self.dead[i]).collect();
+        let outcomes = self.pool.par_map_isolated(live.len(), |j| {
+            let m = self.fleet[live[j]];
+            let span = span.map(|s| s.child(&format!("score.{}", m.name())));
+            // Pessimistic status (see train_isolated): a contained panic
+            // leaves the record at `Panicked`.
+            if let Some(s) = &span {
+                s.set_status(SpanStatus::Panicked);
+            }
+            let token = self.suite_token.child(self.budget);
+            let cut = |i: &Interrupt| {
+                if let Some(s) = &span {
+                    cut_span(s, i);
+                }
+            };
+            self.plan
+                .stall_if_armed(FaultSite::Score, Some(m.kind()), &token)
+                .inspect_err(&cut)?;
+            token.checkpoint().inspect_err(&cut)?;
+            self.plan.trip(FaultSite::Score, Some(m.kind()));
+            let s = m.score_batch(matrix, tokens);
+            if let Some(s) = &span {
+                s.set_status(SpanStatus::Ok);
+            }
+            Ok(s)
+        });
+        for (&i, outcome) in live.iter().zip(outcomes) {
+            let name = self.fleet[i].name();
+            match outcome {
+                Ok(Ok(s)) => out[i].extend(s),
+                Ok(Err(interrupt)) => {
+                    self.dead[i] = true;
+                    self.failures
+                        .push(MatcherFailure::interrupted(name, Stage::Score, interrupt));
+                }
+                Err(reason) => {
+                    self.dead[i] = true;
+                    self.failures
+                        .push(MatcherFailure::panicked(name, Stage::Score, reason));
+                }
+            }
+        }
     }
 }
 
@@ -1129,7 +1067,8 @@ fn run_key(
         .as_ref()
         .map_or_else(|| "token".to_owned(), |b| b.name().to_owned());
     let desc = format!(
-        "fairem-ckpt/1|a:{:x}|b:{:x}|prep:{:?}|train:{:?}|thr:{:x}|vocab:{}|sens:{:?}|fleet:{:?}|blocker:{}|shards:{}",
+        "{}|a:{:x}|b:{:x}|prep:{:?}|train:{:?}|thr:{:x}|vocab:{}|sens:{:?}|fleet:{:?}|blocker:{}|shards:{}",
+        CKPT_SCHEMA,
         table_fingerprint(table_a),
         table_fingerprint(table_b),
         config.prep,
@@ -1164,125 +1103,11 @@ fn table_fingerprint(t: &Table) -> u64 {
     fnv1a64(buf.as_bytes())
 }
 
-/// The result of a sharded, out-of-core run: merged per-matcher
-/// [`PairCounts`] histograms instead of materialized score vectors.
-/// Audits from it are bit-for-bit identical to [`Session`] audits of
-/// the same configuration (pinned by the equivalence suite), while the
-/// peak tracked memory stays bounded by the configured budget.
-#[derive(Debug)]
-pub struct ShardedRun {
-    space: GroupSpace,
-    counts: Vec<(String, PairCounts)>,
-    matching_threshold: f64,
-    failures: Vec<MatcherFailure>,
-    quarantine: QuarantineReport,
-    clamped_scores: usize,
-    parallelism: Parallelism,
-    observe: Recorder,
-    test_size: usize,
-    shards: usize,
-}
-
-impl ShardedRun {
-    /// Names of the matchers with merged histograms — the survivors, in
-    /// registry order (the sharded analogue of
-    /// [`Session::matcher_names`]).
-    pub fn matcher_names(&self) -> Vec<&str> {
-        self.counts.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Per-matcher casualties, empty on a clean run.
-    pub fn failures(&self) -> &[MatcherFailure] {
-        &self.failures
-    }
-
-    /// Rows quarantined during import and prep.
-    pub fn quarantine(&self) -> &QuarantineReport {
-        &self.quarantine
-    }
-
-    /// Number of matcher scores repaired by the non-finite/range clamp.
-    pub fn clamped_scores(&self) -> usize {
-        self.clamped_scores
-    }
-
-    /// True when at least one requested matcher failed.
-    pub fn is_degraded(&self) -> bool {
-        !self.failures.is_empty()
-    }
-
-    /// Fleet coverage as `(survivors, requested)`.
-    pub fn coverage(&self) -> (usize, usize) {
-        let survivors = self.counts.len();
-        (survivors, survivors + self.failures.len())
-    }
-
-    /// Number of test correspondences processed across all shards.
-    pub fn test_size(&self) -> usize {
-        self.test_size
-    }
-
-    /// Number of shards the test split was partitioned into.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The worker-pool policy the run used.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The observability recorder the run recorded into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.observe
-    }
-
-    /// The extracted group space.
-    pub fn space(&self) -> &GroupSpace {
-        &self.space
-    }
-
-    /// A matcher's merged histogram, if it survived.
-    pub fn counts(&self, matcher: &str) -> Option<&PairCounts> {
-        self.counts
-            .iter()
-            .find(|(n, _)| n == matcher)
-            .map(|(_, c)| c)
-    }
-
-    /// Audit one matcher from its merged histogram. Unknown names are a
-    /// [`SuiteError::UnknownMatcher`], exactly like [`Session::audit`].
-    pub fn audit(&self, matcher: &str, auditor: &Auditor) -> SuiteResult<AuditReport> {
-        let counts = self.counts(matcher).ok_or_else(|| SuiteError::UnknownMatcher {
-            matcher: matcher.to_owned(),
-            known: self
-                .matcher_names()
-                .iter()
-                .map(|n| (*n).to_owned())
-                .collect(),
-        })?;
-        let mut report =
-            auditor.audit_counts(matcher, counts, self.matching_threshold, &self.space);
-        report.degraded = self.failures.clone();
-        Ok(report)
-    }
-
-    /// Audit every surviving matcher, in [`ShardedRun::matcher_names`]
-    /// order — the sharded analogue of [`Session::audit_all`].
-    pub fn audit_all(&self, auditor: &Auditor) -> Vec<AuditReport> {
-        let span = self.observe.span("audit");
-        self.counts
-            .iter()
-            .map(|(n, _)| {
-                let _child = span.child(&format!("audit.{n}"));
-                self.audit(n, auditor)
-            })
-            .filter_map(Result::ok) // names come from the map, so always Ok
-            .collect()
-    }
-}
-
 /// A trained, scored session — the state behind demo Steps 3 and 4.
+/// It holds each surviving matcher's validation and test score vectors
+/// (and the resident training matrix), never a test feature matrix, so
+/// a session is the same whether it was scored in one window or many,
+/// in one shard or many, or resumed from checkpoints.
 #[derive(Debug)]
 pub struct Session {
     /// Left table.
@@ -1301,10 +1126,9 @@ pub struct Session {
     pub matching_threshold: f64,
     enc_a: Vec<GroupVector>,
     enc_b: Vec<GroupVector>,
+    vocab: HashVocab,
     test_pairs: Vec<(usize, usize)>,
     test_labels: Vec<f64>,
-    test_features: Matrix,
-    test_tokens: Vec<TokenPair>,
     scores: HashMap<String, Vec<f64>>,
     train_workload: Workload,
     train_pairs: Vec<(usize, usize)>,
@@ -1314,13 +1138,13 @@ pub struct Session {
     train_config: MatcherTrainConfig,
     valid_pairs: Vec<(usize, usize)>,
     valid_labels: Vec<f64>,
-    valid_features: Matrix,
-    valid_tokens: Vec<TokenPair>,
+    valid_scores: HashMap<String, Vec<f64>>,
     calibration: Option<CalibrationSpec>,
     failures: Vec<MatcherFailure>,
     quarantine: QuarantineReport,
     clamped_scores: usize,
     parallelism: Parallelism,
+    mem: MemTracker,
     cancel: CancelToken,
     observe: Recorder,
 }
@@ -1427,9 +1251,30 @@ impl Session {
 
     /// Score the session's test split with any [`Matcher`] (e.g. one
     /// trained outside the session or an ensemble adapter) and return
-    /// the aligned score vector.
+    /// the aligned score vector. The test split is featurized again in
+    /// windows under the session's memory account.
+    ///
+    /// # Panics
+    /// When featurization panics, or a one-pair window no longer fits
+    /// the memory budget.
     pub fn score_test_with(&self, matcher: &dyn Matcher) -> Vec<f64> {
-        matcher.score_batch(&self.test_features, &self.test_tokens)
+        let exec =
+            Exec::with_pool(WorkerPool::with_parallelism(self.parallelism)).mem(self.mem.clone());
+        let mut scores = Vec::with_capacity(self.test_pairs.len());
+        let outcome = score_in_windows(
+            &self.features,
+            &self.vocab,
+            &exec,
+            None,
+            "test",
+            &self.test_pairs,
+            |m, t| scores.extend(matcher.score_batch(m, t)),
+        );
+        match outcome {
+            Ok(()) => scores,
+            // fairem: allow(panic) — documented # Panics contract: the windows fit when the session was scored, so only a contained featurization panic lands here.
+            Err(e) => panic!("scoring the test split failed: {e}"),
+        }
     }
 
     /// Build a workload for uploaded external scores (the
@@ -1569,15 +1414,13 @@ impl Session {
     /// demo's Step-3 "specify the matching threshold" knob. Unknown
     /// names are a [`SuiteError::UnknownMatcher`].
     pub fn tune_threshold(&self, matcher: &str) -> SuiteResult<f64> {
-        let m = self
-            .registry
-            .iter()
-            .find(|m| m.name() == matcher)
+        let scores = self
+            .valid_scores
+            .get(matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
         if self.valid_labels.is_empty() {
             return Ok(self.matching_threshold);
         }
-        let scores = m.score_batch(&self.valid_features, &self.valid_tokens);
         let truths: Vec<bool> = self.valid_labels.iter().map(|&y| y == 1.0).collect();
         let mut best: Option<(f64, f64)> = None; // (f1, threshold)
         for i in 1..100 {
@@ -1629,8 +1472,7 @@ impl Session {
             labels: &labels,
         };
         let matcher = kind.train(&input, &self.train_config);
-        let scores = matcher.score_batch(&self.test_features, &self.test_tokens);
-        self.workload_from_scores(scores)
+        self.workload_from_scores(self.score_test_with(&matcher))
     }
 
     /// Calibration-based resolution (ref \[10\] style): per-group Platt
@@ -1693,23 +1535,23 @@ impl Session {
         spec: CalibrationSpec,
         groups: &[GroupId],
     ) -> SuiteResult<GroupCalibrator> {
-        let m = self
-            .registry
-            .iter()
-            .find(|m| m.name() == matcher)
+        let valid = self
+            .valid_scores
+            .get(matcher)
             .ok_or_else(|| self.unknown_matcher(matcher))?;
         let (pairs, labels, mut scores) = if self.valid_labels.is_empty() {
+            let m = self
+                .registry
+                .iter()
+                .find(|m| m.name() == matcher)
+                .ok_or_else(|| self.unknown_matcher(matcher))?;
             (
                 &self.train_pairs,
                 &self.train_labels,
                 m.score_batch(&self.train_features, &self.train_tokens),
             )
         } else {
-            (
-                &self.valid_pairs,
-                &self.valid_labels,
-                m.score_batch(&self.valid_features, &self.valid_tokens),
-            )
+            (&self.valid_pairs, &self.valid_labels, valid.clone())
         };
         // Same boundary contract as test-time scoring.
         sanitize_scores(&mut scores);
@@ -2106,17 +1948,6 @@ mod tests {
         // Lenient default quarantines instead.
         let suite = FairEm360::builder().tables(bad, good).build().unwrap();
         assert_eq!(suite.quarantine().len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_import_and_run_still_work() {
-        let (a, b, m) = dataset();
-        let s = FairEm360::import(a, b, m, vec![SensitiveAttr::categorical("country")])
-            .unwrap()
-            .with_config(config())
-            .run(&[MatcherKind::DtMatcher]);
-        assert_eq!(s.matcher_names(), vec!["DTMatcher"]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Old-vs-new equivalence suite: the deprecated string-path feature
+//! Scalar-vs-columnar equivalence suite: the scalar string-path feature
 //! kernels and the columnar batch kernels must agree **bit for bit** on
 //! real generated datasets, for every parallelism policy. These tests
 //! are the refactor's safety net — any drift between the scalar
 //! reference path and the interned hot path fails here first.
 
-#![allow(deprecated)] // comparing the deprecated shims against the new API is the point
+#![allow(deprecated)] // `matrix_pairs`, the scalar oracle, is deprecated for production use
 
 use fairem_core::blocking::{
     sorted_neighborhood, token_blocking, Blocker, SortedNeighborhood, TokenBlocking,
@@ -80,16 +80,10 @@ fn feature_matrices_are_bit_for_bit_identical_across_paths_and_policies() {
         let gen = generator(&d, &a, &b);
         let pairs = sample_pairs(&a, &b, 300);
 
-        // The deprecated per-pair string path is the reference.
+        // The scalar per-pair string path is the reference.
         let reference = gen.matrix_pairs(&a, &b, &pairs);
         for policy in POLICIES {
-            let pool = WorkerPool::with_parallelism(policy);
-            let pooled = gen
-                .matrix_with(&a, &b, &pairs, &pool)
-                .unwrap_or_else(|p| panic!("{}: old pooled path panicked: {p}", d.name));
-            assert_bitwise_eq(&reference, &pooled, &format!("{} old/{policy:?}", d.name));
-
-            let exec = Exec::with_pool(pool);
+            let exec = Exec::with_pool(WorkerPool::with_parallelism(policy));
             let new = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
             assert_bitwise_eq(&reference, &new, &format!("{} columnar/{policy:?}", d.name));
         }

@@ -33,7 +33,7 @@ pub const SPAN_FEATURES: &str = "features";
 pub const SPAN_TRAIN: &str = "train";
 /// Per-matcher scoring fan-out parent.
 pub const SPAN_SCORE: &str = "score";
-/// One out-of-core shard (child per shard index).
+/// One test-split shard (only when a run has more than one).
 pub const SPAN_SHARD: &str = "shard";
 /// Fairness audit stage.
 pub const SPAN_AUDIT: &str = "audit";
@@ -111,11 +111,9 @@ pub const PAIRS_TEST: &str = "pairs.test";
 pub const MEM_PEAK_BYTES: &str = "mem.peak_bytes";
 /// Per-stage cost-model peak: training features.
 pub const MEM_STAGE_PEAK_TRAIN: &str = "mem.stage_peak_bytes.train";
-/// Per-stage cost-model peak: feature build.
-pub const MEM_STAGE_PEAK_FEATURES: &str = "mem.stage_peak_bytes.features";
-/// Per-stage cost-model peak: scoring.
+/// Per-stage cost-model peak: validation and test scoring.
 pub const MEM_STAGE_PEAK_SCORE: &str = "mem.stage_peak_bytes.score";
-/// Shards the audit ran over (1 when materialized).
+/// Shards the test split was scored in.
 pub const SHARD_COUNT: &str = "shard.count";
 /// Ensemble assignments enumerated.
 pub const ENSEMBLE_ASSIGNMENTS: &str = "ensemble.assignments";
@@ -161,7 +159,6 @@ pub const ALL: &[&str] = &[
     LINT_FILES_ANALYZED,
     LINT_FILES_CACHED,
     MEM_PEAK_BYTES,
-    MEM_STAGE_PEAK_FEATURES,
     MEM_STAGE_PEAK_SCORE,
     MEM_STAGE_PEAK_TRAIN,
     PAIRS_TEST,

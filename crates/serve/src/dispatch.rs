@@ -336,14 +336,7 @@ fn tune(matcher: &str, conn: &mut ConnCtx, token: &CancelToken) -> Reply {
         Ok(e) => e,
         Err(r) => return r,
     };
-    let session = match entry.session.as_full() {
-        Some(s) => s,
-        None => {
-            return Reply::error(
-                "tune_threshold requires a materialized session — reopen without shards",
-            )
-        }
-    };
+    let session = &entry.session;
     if let Err(interrupt) = token.checkpoint() {
         return Reply::partial(&interrupt, Json::Obj(Vec::new()));
     }
@@ -367,19 +360,12 @@ fn calibrate(
         Ok(e) => e,
         Err(r) => return r,
     };
-    let session = match entry.session.as_full() {
-        Some(s) => s,
-        None => {
-            return Reply::error(
-                "calibrate requires a materialized session — reopen without shards",
-            )
-        }
-    };
+    let session = &entry.session;
     if let Err(interrupt) = token.checkpoint() {
         return Reply::partial(&interrupt, Json::Obj(Vec::new()));
     }
     let groups = session.space.level1_of_attr(0);
-    let cal = match entry.calibrator(session, matcher, spec, &groups, &shared.recorder) {
+    let cal = match entry.calibrator(matcher, spec, &groups, &shared.recorder) {
         Ok(c) => c,
         Err(e) => return Reply::error(format!("calibrate failed: {e}")),
     };
@@ -426,14 +412,7 @@ fn ensemble(conn: &mut ConnCtx, token: &CancelToken) -> Reply {
         Ok(e) => e,
         Err(r) => return r,
     };
-    let session = match entry.session.as_full() {
-        Some(s) => s,
-        None => {
-            return Reply::error(
-                "ensemble requires a materialized session — reopen without shards",
-            )
-        }
-    };
+    let session = &entry.session;
     if let Err(interrupt) = token.checkpoint() {
         return Reply::partial(&interrupt, Json::obj([("frontier", Json::Arr(vec![]))]));
     }

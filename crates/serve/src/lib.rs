@@ -33,5 +33,5 @@ pub mod server;
 pub use client::{run_storm, Client, StormConfig, StormReport};
 pub use dispatch::{Reply, ReplyClass};
 pub use proto::{FrameReader, ProtoError, Request, MAGIC, MAX_BODY, MAX_STRIKES};
-pub use registry::{ServedSession, SessionRegistry, SessionSpec};
+pub use registry::{SessionRegistry, SessionSpec};
 pub use server::{serve, ServeConfig, ServeSummary};

@@ -201,8 +201,9 @@ pub enum Request {
         matchers: Vec<String>,
         /// Matching threshold.
         threshold: f64,
-        /// Shard count: 1 materializes the session, >1 builds it
-        /// out-of-core with per-shard checkpoints (audits only).
+        /// Shard count the test split is scored in (checkpointed per
+        /// shard when the server has a checkpoint root). Every count
+        /// serves every verb with the same bytes.
         shards: usize,
     },
     /// Audit one matcher, or all of them when no name is given.

@@ -3,8 +3,8 @@
 //! A [`SessionSpec`] canonically names a workload (generator, seed,
 //! matchers, threshold). The registry caches one built
 //! [`fairem_core::pipeline::Session`] per spec behind an `Arc`, so
-//! concurrent connections opening the same spec share the same feature
-//! matrices and trained matchers — the "import once, serve repeated
+//! concurrent connections opening the same spec share the same trained
+//! matchers and score vectors — the "import once, serve repeated
 //! reads" shape the suite demo implies. Builds for the *same* spec are
 //! serialized on a per-slot mutex (the second opener waits, then gets
 //! the cache hit); builds for *different* specs proceed in parallel.
@@ -18,10 +18,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use fairem_core::audit::{AuditReport, Auditor};
 use fairem_core::fnv1a64;
 use fairem_core::matcher::MatcherKind;
-use fairem_core::pipeline::{FairEm360, Session, ShardedRun, SuiteConfig};
+use fairem_core::pipeline::{FairEm360, Session, SuiteConfig};
 use fairem_core::sensitive::{GroupId, SensitiveAttr};
 use fairem_core::{CalibrationSpec, GroupCalibrator, SuiteError};
 use fairem_datasets::{
@@ -29,7 +28,7 @@ use fairem_datasets::{
     GeneratedDataset, NoFlyConfig, ProductsConfig,
 };
 use fairem_obs::Recorder;
-use fairem_par::{CancelToken, Interrupt, Parallelism};
+use fairem_par::{CancelToken, Parallelism};
 
 /// Matchers trained when `open` names none: one tree, one linear model
 /// — the cheapest pair that still gives ensemble/tune requests
@@ -49,8 +48,9 @@ pub struct SessionSpec {
     pub matchers: Vec<MatcherKind>,
     /// Matching threshold.
     pub threshold: f64,
-    /// Shard count: 1 builds a materialized [`Session`], >1 runs the
-    /// out-of-core sharded path and serves a [`ShardedRun`].
+    /// Shard count the test split is scored in. Every count serves the
+    /// same verbs and the same bytes; more shards mean smaller
+    /// checkpoint units.
     pub shards: usize,
 }
 
@@ -93,9 +93,8 @@ impl SessionSpec {
     /// Stable cache key: every field that affects session *content*
     /// (and nothing that does not — see the module note on
     /// parallelism). The shard count is included even though sharding
-    /// never changes audit results, because the two variants differ in
-    /// *capability* (only materialized sessions serve `tune_threshold`
-    /// and `ensemble`).
+    /// never changes a reply, because it names the per-spec checkpoint
+    /// directory and the shard layout inside it.
     pub fn key(&self) -> String {
         let names: Vec<&str> = self.matchers.iter().map(|m| m.name()).collect();
         format!(
@@ -143,97 +142,14 @@ impl SessionSpec {
     }
 }
 
-/// What the registry actually serves for a spec: a fully materialized
-/// [`Session`] (feature matrices resident, every request type
-/// available) or the merged histograms of an out-of-core
-/// [`ShardedRun`] (audits only, but bounded memory and checkpointed
-/// builds).
-#[derive(Debug)]
-pub enum ServedSession {
-    /// Materialized session — `shards == 1`.
-    Full(Box<Session>),
-    /// Sharded out-of-core run — `shards > 1`.
-    Sharded(ShardedRun),
-}
-
-impl ServedSession {
-    /// Names of the surviving matchers, in registry order.
-    pub fn matcher_names(&self) -> Vec<&str> {
-        match self {
-            ServedSession::Full(s) => s.matcher_names(),
-            ServedSession::Sharded(r) => r.matcher_names(),
-        }
-    }
-
-    /// Number of test correspondences scored.
-    pub fn test_size(&self) -> usize {
-        match self {
-            ServedSession::Full(s) => s.test_size(),
-            ServedSession::Sharded(r) => r.test_size(),
-        }
-    }
-
-    /// True when at least one requested matcher failed.
-    pub fn is_degraded(&self) -> bool {
-        match self {
-            ServedSession::Full(s) => s.is_degraded(),
-            ServedSession::Sharded(r) => r.is_degraded(),
-        }
-    }
-
-    /// Audit one matcher by name.
-    pub fn audit(&self, matcher: &str, auditor: &Auditor) -> Result<AuditReport, SuiteError> {
-        match self {
-            ServedSession::Full(s) => s.audit(matcher, auditor),
-            ServedSession::Sharded(r) => r.audit(matcher, auditor),
-        }
-    }
-
-    /// Audit every surviving matcher under `cancel`, returning whatever
-    /// completed plus the interrupt if the token tripped. The sharded
-    /// variant audits from merged histograms (cheap), checking the
-    /// token between matchers.
-    pub fn try_audit_all_within(
-        &self,
-        auditor: &Auditor,
-        cancel: &CancelToken,
-    ) -> (Vec<AuditReport>, Option<Interrupt>) {
-        match self {
-            ServedSession::Full(s) => s.try_audit_all_within(auditor, cancel),
-            ServedSession::Sharded(r) => {
-                let mut reports = Vec::new();
-                for name in r.matcher_names() {
-                    if let Err(interrupt) = cancel.checkpoint() {
-                        return (reports, Some(interrupt));
-                    }
-                    if let Ok(report) = r.audit(name, auditor) {
-                        reports.push(report);
-                    }
-                }
-                (reports, None)
-            }
-        }
-    }
-
-    /// The materialized session, if this is one. Requests that need
-    /// trained models or resident feature matrices (`tune_threshold`,
-    /// `ensemble`) go through here and error on sharded sessions.
-    pub fn as_full(&self) -> Option<&Session> {
-        match self {
-            ServedSession::Full(s) => Some(s),
-            ServedSession::Sharded(_) => None,
-        }
-    }
-}
-
 /// A cached session plus the spec key it was built from.
 #[derive(Debug)]
 pub struct SessionEntry {
     /// The registry key this entry is cached under.
     pub key: String,
-    /// The built session. Both variants are `Send + Sync`; audits take
+    /// The built session. It is `Send + Sync` and every read takes
     /// `&self`, so any number of connection threads read concurrently.
-    pub session: ServedSession,
+    pub session: Session,
     /// Per-group calibrators fitted on this session, keyed by
     /// `matcher#spec-label`. Fitting is deterministic, so a lost race
     /// just produces the identical calibrator twice; the cache exists
@@ -243,12 +159,9 @@ pub struct SessionEntry {
 
 impl SessionEntry {
     /// Fetch (or fit and cache) the per-group calibrator for
-    /// `matcher` under `spec`. `session` must be this entry's own
-    /// materialized session — the caller has already gone through
-    /// [`ServedSession::as_full`].
+    /// `matcher` under `spec` on this entry's session.
     pub fn calibrator(
         &self,
-        session: &Session,
         matcher: &str,
         spec: CalibrationSpec,
         groups: &[GroupId],
@@ -268,7 +181,7 @@ impl SessionEntry {
         // Fit outside the lock: a slow fit must not block readers of
         // other calibrators on the same session.
         observe.incr("serve.calib.cache_miss");
-        let fitted = Arc::new(session.group_calibrator(matcher, spec, groups)?);
+        let fitted = Arc::new(self.session.group_calibrator(matcher, spec, groups)?);
         let mut cache = match self.calibrators.lock() {
             Ok(c) => c,
             Err(poisoned) => poisoned.into_inner(),
@@ -316,7 +229,7 @@ impl SessionRegistry {
         }
     }
 
-    /// Root directory for sharded-build checkpoints. Each spec
+    /// Root directory for session-build checkpoints. Each spec
     /// checkpoints under its own subdirectory (keyed by a hash of the
     /// spec key), so a server killed or drained mid-build resumes the
     /// completed shards on restart instead of redoing them.
@@ -407,32 +320,31 @@ fn build_session(
     cancel: &CancelToken,
     observe: &Recorder,
     checkpoint_root: Option<&std::path::Path>,
-) -> Result<ServedSession, SuiteError> {
+) -> Result<Session, SuiteError> {
     let data = spec.generate();
     let sensitive: Vec<SensitiveAttr> = data
         .sensitive
         .iter()
         .map(SensitiveAttr::categorical)
         .collect();
-    let config = SuiteConfig {
+    let mut config = SuiteConfig {
         matching_threshold: spec.threshold,
         parallelism,
         cancel: cancel.clone(),
         observe: observe.clone(),
         ..SuiteConfig::fast()
     };
+    // The default blocking column is `name`; the bibliographic and
+    // product generators have none, but both emit `title`.
+    if matches!(spec.dataset.as_str(), "citations" | "products") {
+        config.prep.blocking_columns = vec!["title".to_owned()];
+    }
     let mut builder = FairEm360::builder()
         .tables(data.table_a, data.table_b)
         .ground_truth(data.matches)
         .sensitive(sensitive)
-        .config(config);
-    if spec.shards <= 1 {
-        return builder
-            .build()?
-            .try_run(&spec.matchers)
-            .map(|s| ServedSession::Full(Box::new(s)));
-    }
-    builder = builder.shards(spec.shards);
+        .config(config)
+        .shards(spec.shards);
     if let Some(root) = checkpoint_root {
         // Per-spec subdirectory so distinct specs never collide on
         // shard files; the run key inside each directory still guards
@@ -440,10 +352,7 @@ fn build_session(
         let sub = root.join(format!("{:016x}", fnv1a64(spec.key().as_bytes())));
         builder = builder.checkpoint_dir(sub).resume(true);
     }
-    builder
-        .build()?
-        .try_run_sharded(&spec.matchers)
-        .map(ServedSession::Sharded)
+    builder.build()?.try_run(&spec.matchers)
 }
 
 #[cfg(test)]
@@ -554,8 +463,6 @@ mod tests {
             .get_or_build(&sharded, Parallelism::Fixed(1), &token, &rec1)
             .expect("sharded build");
         assert!(!cached);
-        assert!(matches!(entry.session, ServedSession::Sharded(_)));
-        assert!(entry.session.as_full().is_none(), "sharded has no full view");
         assert_eq!(counter(&rec1, "ckpt.shards_written"), 3);
         assert_eq!(counter(&rec1, "ckpt.shards_skipped"), 0);
         drop(reg1); // the server process dies here…
@@ -571,11 +478,11 @@ mod tests {
         assert_eq!(counter(&rec2, "ckpt.shards_written"), 0);
 
         // The resumed sharded session audits bit-for-bit like a
-        // materialized session of the same workload.
+        // one-shard session of the same workload.
         let auditor = fairem_core::audit::Auditor::new(fairem_core::audit::AuditConfig::default());
         let (full, _) = reg2
             .get_or_build(&spec(), Parallelism::Fixed(1), &token, &rec2)
-            .expect("materialized build");
+            .expect("one-shard build");
         let from_full = full.session.try_audit_all_within(&auditor, &token).0;
         let from_shards = resumed.session.try_audit_all_within(&auditor, &token).0;
         assert!(!from_full.is_empty());
@@ -584,9 +491,26 @@ mod tests {
             assert_eq!(
                 fairem_core::report::audit_json(a).to_string_compact(),
                 fairem_core::report::audit_json(b).to_string_compact(),
-                "sharded resume must reproduce the materialized audit"
+                "sharded resume must reproduce the one-shard audit"
             );
         }
+        drop(entry);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_generator_opens() {
+        let reg = SessionRegistry::new(4);
+        let token = CancelToken::with_budget(Budget::UNLIMITED);
+        let rec = Recorder::disabled();
+        for dataset in ["faculty", "products", "citations", "noflycompas"] {
+            let spec = SessionSpec::resolve(dataset, 0, &[], 0.5, 1).expect("valid spec");
+            let (entry, _) = reg
+                .get_or_build(&spec, Parallelism::Fixed(1), &token, &rec)
+                .unwrap_or_else(|e| panic!("open dataset={dataset} failed: {e:?}"));
+            assert!(entry.session.test_size() > 0, "{dataset}: empty test split");
+            assert!(!entry.session.matcher_names().is_empty(), "{dataset}");
+        }
+        assert_eq!(reg.len(), 4);
     }
 }

@@ -63,10 +63,9 @@ pub struct ServeConfig {
     pub drain_budget: Budget,
     /// Worker-pool policy for request execution.
     pub parallelism: Parallelism,
-    /// Checkpoint root for sharded session builds (`open … shards=n`).
+    /// Checkpoint root for session builds (`open … shards=n`).
     /// When set, a server killed or drained mid-build resumes completed
-    /// shards after restart; when `None`, sharded builds run
-    /// checkpoint-free.
+    /// shards after restart; when `None`, builds run checkpoint-free.
     pub checkpoint_dir: Option<std::path::PathBuf>,
 }
 

@@ -173,14 +173,21 @@ serve_storm_leg() {
 run_tests bash -c "$(declare -f serve_storm_leg); OBS_DIR='$OBS_DIR' serve_storm_leg"
 
 echo "== sharded: equivalence, kill -9 resume, memory fence (${TEST_TIMEOUT}s cap) =="
-# Three gates on the out-of-core path (DESIGN.md §11), all on a ~1e5
-# candidate-pair streamed dataset:
+# Gates on the windowed, sharded back half (DESIGN.md §11), on a ~1e5
+# candidate-pair streamed dataset and then at the ~1e6 acceptance scale:
 #   A. --shards 8 produces a byte-identical report to the unsharded run.
 #   B. kill -KILL mid-audit, rerun with --resume: the report is still
 #      byte-identical and the metrics prove committed shards were
 #      skipped, not recomputed.
-#   C. a --mem-budget the materialized path provably exceeds (exit 2)
-#      still completes sharded, again byte-identically.
+#   C. a --mem-budget below the floor (the training build, or the
+#      resident training features plus retained score vectors plus a
+#      one-pair window) exits 2 naming the stage; a budget under
+#      the unbudgeted peak completes at --shards 1 and --shards 8,
+#      byte-identically, with mem.peak_bytes inside the budget.
+#   D. C again at ~1e6 candidate pairs, 40 MiB, --shards 1 and 16.
+#   E. every verb the flags reach — calibration, the threshold-free
+#      audit, JSON, and the workload dump — is byte-identical at
+#      --shards 1, at --shards 8 with checkpoints, and on its resume.
 sharded_resume_leg() {
   set -euo pipefail
   local dir="$OBS_DIR/scale"
@@ -235,48 +242,104 @@ sharded_resume_leg() {
   fi
   echo "resume skipped $skipped committed shard(s); report identical after kill -9"
 
-  # Leg C: 4 MiB holds the global training features plus one shard's
-  # scoring window, but not the full materialized candidate matrix —
-  # so the unsharded run must fence (exit 2, the data-error code for
-  # MemExceeded) while the sharded run completes.
-  local budget=4 status=0
-  "$bin" audit "${flags[@]}" --mem-budget "$budget" \
-    > "$dir/fenced.txt" 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "check.sh: FAIL — materialized run fit in ${budget} MiB (exit $status)" >&2
-    return 1
-  fi
-  "$bin" audit "${flags[@]}" --mem-budget "$budget" --shards 8 \
-    > "$dir/sharded-budget.txt"
-  if ! diff -q "$dir/unsharded.txt" "$dir/sharded-budget.txt" > /dev/null; then
-    echo "check.sh: FAIL — budgeted sharded audit diverged" >&2
-    return 1
-  fi
-  echo "materialized path exceeds ${budget} MiB; sharded path completes identically"
+  # Leg C: a budget below the floor fails with the data-error
+  # exit and names the stage; 4 MiB sits under the unbudgeted run's
+  # peak (~4.2 MB), so the windows must narrow — at one shard and at
+  # eight — and the report must not change.
+  budget_fence 1.5 "$dir/plain-metrics.json" "$dir/unsharded.txt" 4 1 8 \
+    "${flags[@]}"
+  echo "below-floor budget fences; 4 MiB completes identically at 1 and 8 shards"
 
   # Leg D: the acceptance scale — ~1e6 candidate pairs, streamed on
-  # generation, audited out-of-core. 40 MiB clears the global training
-  # transient (~33 MiB) but not the materialized test matrix, so the
-  # unsharded run fences after training while 16 shards complete.
+  # generation. The unbudgeted run peaks at ~42.7 MB; 40 MiB clears the
+  # training transient (~33 MB) and must narrow the scoring windows,
+  # while 16 MiB is below the floor.
   local big="$OBS_DIR/scale-1e6"
   "$bin" generate --dataset scale --rows 128000 --block-width 8 --out "$big"
   local bflags=(--table-a "$big/tableA.csv" --table-b "$big/tableB.csv"
     --matches "$big/matches.csv" --sensitive tier --blocking name
     --matchers DTMatcher,LinRegMatcher)
   "$bin" audit "${bflags[@]}" > "$big/plain.txt"
-  status=0
-  "$bin" audit "${bflags[@]}" --mem-budget 40 > "$big/fenced.txt" 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "check.sh: FAIL — 1e6-pair materialized run fit in 40 MiB (exit $status)" >&2
+  budget_fence 16 "$big/plain-metrics.json" "$big/plain.txt" 40 1 16 \
+    "${bflags[@]}"
+  echo "1e6-pair audit completes in 40 MiB at 1 and 16 shards; 16 MiB fences"
+
+  # Leg E: every flag at every shard count, fresh and resumed.
+  local verbs=(--calibrate isotonic --all-thresholds --json)
+  "$bin" audit "${flags[@]}" "${verbs[@]}" --shards 1 \
+    --dump-workload "$dir/dump-1" > "$dir/verbs-1.json"
+  rm -rf "$dir/ckpt-verbs"
+  "$bin" audit "${flags[@]}" "${verbs[@]}" --shards 8 \
+    --checkpoint-dir "$dir/ckpt-verbs" --dump-workload "$dir/dump-8" \
+    > "$dir/verbs-8.json"
+  "$bin" audit "${flags[@]}" "${verbs[@]}" --shards 8 \
+    --checkpoint-dir "$dir/ckpt-verbs" --resume --dump-workload "$dir/dump-r" \
+    --metrics "$dir/verbs-resume-metrics.json" > "$dir/verbs-r.json"
+  if ! grep -q '"ckpt.shards_skipped": 8' "$dir/verbs-resume-metrics.json"; then
+    echo "check.sh: FAIL — the verbs resume did not reuse all 8 shards" >&2
     return 1
   fi
-  "$bin" audit "${bflags[@]}" --mem-budget 40 --shards 16 > "$big/sharded.txt"
-  if ! diff -q "$big/plain.txt" "$big/sharded.txt" > /dev/null; then
-    echo "check.sh: FAIL — 1e6-pair sharded audit diverged" >&2
+  local n_dumps
+  n_dumps=$(ls "$dir/dump-1" | grep -c '^workload_.*\.csv$' || true)
+  if [ "$n_dumps" -lt 1 ]; then
+    echo "check.sh: FAIL — --dump-workload wrote no CSV" >&2
     return 1
   fi
-  echo "1e6-pair audit completes in 40 MiB sharded; materialized path cannot"
+  for run in 8 r; do
+    if ! diff -q "$dir/verbs-1.json" "$dir/verbs-$run.json" > /dev/null; then
+      echo "check.sh: FAIL — calibrated JSON report diverged at run $run" >&2
+      return 1
+    fi
+    if ! diff -rq "$dir/dump-1" "$dir/dump-$run" > /dev/null; then
+      echo "check.sh: FAIL — dumped workloads diverged at run $run" >&2
+      return 1
+    fi
+  done
+  echo "calibrated report and $n_dumps dumped workload(s) identical at 1, 8, and resumed 8 shards"
 }
-run_tests bash -c "$(declare -f sharded_resume_leg); OBS_DIR='$OBS_DIR' sharded_resume_leg"
+
+# budget_fence LOW PLAIN_METRICS PLAIN_REPORT BUDGET SHARDS... -- FLAGS...
+# (the flags are everything after the shard counts, which are integers).
+# LOW MiB must exit 2 naming the stage it did not fit; BUDGET MiB must
+# complete at each shard count with the report of PLAIN_REPORT, with
+# mem.peak_bytes inside the budget, and below the peak of an unbudgeted
+# run (recorded into PLAIN_METRICS) so the windows provably narrowed.
+budget_fence() {
+  set -euo pipefail
+  local bin=./target/release/fairem
+  local low="$1" plain_metrics="$2" plain="$3" budget="$4"
+  shift 4
+  local shard_counts=()
+  while [[ "${1:-}" =~ ^[0-9]+$ ]]; do shard_counts+=("$1"); shift; done
+  local status=0
+  "$bin" audit "$@" --mem-budget "$low" > "$plain.fenced" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "memory budget exceeded at [a-z-]*:" "$plain.fenced"; then
+    echo "check.sh: FAIL — ${low} MiB is below the floor but did not fence (exit $status)" >&2
+    cat "$plain.fenced" >&2
+    return 1
+  fi
+  "$bin" audit "$@" --metrics "$plain_metrics" > /dev/null
+  local limit peak
+  limit=$(awk -v m="$budget" 'BEGIN { printf "%d", m * 1024 * 1024 }')
+  peak=$(sed -n 's/.*"mem.peak_bytes": \([0-9.eE+-]*\).*/\1/p' "$plain_metrics")
+  if ! awk -v p="$peak" -v l="$limit" 'BEGIN { exit !(p > l) }'; then
+    echo "check.sh: FAIL — unbudgeted peak $peak fits ${budget} MiB; the leg would not narrow" >&2
+    return 1
+  fi
+  for n in "${shard_counts[@]}"; do
+    local out="$plain.budget-$n" metrics="$plain.budget-$n.json"
+    "$bin" audit "$@" --mem-budget "$budget" --shards "$n" --metrics "$metrics" > "$out"
+    if ! diff -q "$plain" "$out" > /dev/null; then
+      echo "check.sh: FAIL — ${budget} MiB audit at --shards $n diverged" >&2
+      return 1
+    fi
+    peak=$(sed -n 's/.*"mem.peak_bytes": \([0-9.eE+-]*\).*/\1/p' "$metrics")
+    if [ -z "$peak" ] || ! awk -v p="$peak" -v l="$limit" 'BEGIN { exit !(p <= l) }'; then
+      echo "check.sh: FAIL — --shards $n peak ${peak:-?} B over the ${budget} MiB budget" >&2
+      return 1
+    fi
+  done
+}
+run_tests bash -c "$(declare -f sharded_resume_leg budget_fence); OBS_DIR='$OBS_DIR' sharded_resume_leg"
 
 echo "== check.sh: all gates passed =="

@@ -201,12 +201,16 @@ DEADLINES:
   rehearsing the above deterministically.
 
 SHARDING:
-  --shards N partitions the test pair space into N contiguous shards and
-  audits from merged per-shard histograms — the report is bit-for-bit
-  identical to the materialized run, but peak memory is bounded by
-  --mem-budget M (MiB over the suite's deterministic cost model; scoring
-  windows narrow to fit). --checkpoint-dir DIR commits each completed
-  shard there (`fairem-ckpt/1`, atomic rename), and --resume reuses
+  Every audit scores the test pairs in windows and keeps only the score
+  vectors, so every flag works at any shard count and the output is
+  bit-for-bit the same. --mem-budget M caps the suite's deterministic
+  cost model (MiB): windows narrow to fit, and a budget below the
+  floor exits 2. The floor is the larger of twice the training
+  features (their build) and the training features plus the retained
+  score vectors plus a one-pair window.
+  --shards N cuts the test pairs into N contiguous shards, the unit of
+  checkpointing: --checkpoint-dir DIR commits each completed shard's
+  scores there (`fairem-ckpt/2`, atomic rename), and --resume reuses
   committed shards whose run key matches, so a killed audit rerun with
   the same flags skips straight to the unfinished shards. Damaged or
   foreign checkpoint files are recomputed, never trusted.
@@ -224,9 +228,9 @@ CALIBRATION:
   threshold grid. --calibrate fits a per-group calibrator (platt or
   isotonic; groups under min-support — default 10 — fall back to a
   global fit) on the validation split and reports the same audit on
-  the calibrated scores side by side. Both flags need materialized
-  score vectors: drop --shards/--checkpoint-dir, and use a trained
-  fleet (not audit-scores) with --calibrate.
+  the calibrated scores side by side. Both work with any --shards and
+  --checkpoint-dir setting; --calibrate needs a trained fleet (not
+  audit-scores).
 
 OBSERVABILITY:
   --metrics PATH writes a JSON snapshot (schema `fairem-obs/1`) of
@@ -803,7 +807,6 @@ fn cmd_audit(
         }
         _ => {}
     }
-    let sharded = shards > 1 || config.shard.checkpoint_dir.is_some();
     // Fault-tolerant import (the builder's default): malformed rows are
     // quarantined (and listed in the output) instead of failing the
     // whole audit.
@@ -814,48 +817,6 @@ fn cmd_audit(
         .config(config)
         .build()
         .map_err(suite_err)?;
-
-    if sharded {
-        if scores_path.is_some() {
-            return Err(err(
-                "--shards/--checkpoint-dir are not supported with audit-scores \
-                 (uploaded scores need the materialized pairing)",
-            ));
-        }
-        if args.has("dump-workload") {
-            return Err(err(
-                "--dump-workload needs materialized score vectors; drop --shards/--checkpoint-dir",
-            ));
-        }
-        if calibrate_spec.is_some() || all_thresholds {
-            return Err(err(
-                "--calibrate/--all-thresholds need materialized score vectors; \
-                 drop --shards/--checkpoint-dir",
-            ));
-        }
-        let run = suite
-            .try_run_sharded(&matcher_kinds(args)?)
-            .map_err(|e| run_err(e, cancel))?;
-        let reports = run.audit_all(&auditor);
-        let mut text = render_audit_output(
-            args.has("json"),
-            &reports,
-            &[],
-            run.quarantine(),
-            run.failures(),
-            run.coverage(),
-            run.clamped_scores(),
-            None,
-            run.matcher_names().len(),
-        );
-        append_observability(&mut text, &observe, trace, args.has("json"), metrics_path.as_deref())?;
-        return Ok(CliOutput {
-            text,
-            degraded: run.is_degraded() || !run.quarantine().is_empty(),
-            timed_out: run.failures().iter().any(|f| f.interrupt().is_some()),
-            interrupted: cancel.cancel_requested(),
-        });
-    }
 
     let dump_path = args.get("dump-workload").map(PathBuf::from);
     let dump = |session: &fairem_core::pipeline::Session,
@@ -1007,12 +968,8 @@ fn cmd_audit(
         args.has("json"),
         &reports,
         &calibrated,
-        session.quarantine(),
-        session.failures(),
-        session.coverage(),
-        session.clamped_scores(),
+        &session,
         audit_interrupt.as_ref(),
-        session.matcher_names().len(),
     );
     append_observability(&mut text, &observe, trace, args.has("json"), metrics_path.as_deref())?;
     Ok(CliOutput {
@@ -1035,20 +992,13 @@ fn matcher_kinds(args: &Args) -> Result<Vec<MatcherKind>, CliError> {
     }
 }
 
-/// Render the audit report text/JSON shared by the materialized and
-/// sharded paths — one assembly function so `--shards` cannot drift
-/// from the unsharded output byte-wise.
-#[allow(clippy::too_many_arguments)]
+/// Render the audit report text/JSON.
 fn render_audit_output(
     json: bool,
     reports: &[fairem_core::AuditReport],
     calibrated: &[fairem_core::CalibratedAudit],
-    quarantine: &fairem_core::QuarantineReport,
-    failures: &[fairem_core::MatcherFailure],
-    coverage: (usize, usize),
-    clamped: usize,
+    session: &fairem_core::Session,
     audit_interrupt: Option<&fairem_core::Interrupt>,
-    matcher_total: usize,
 ) -> String {
     if json {
         let audits = Json::arr(reports.iter().map(audit_json));
@@ -1075,16 +1025,16 @@ fn render_audit_output(
         text.push('\n');
         text.push_str(&calibrated_audit_text(c));
     }
-    if !quarantine.is_empty() {
+    if !session.quarantine().is_empty() {
         text.push('\n');
-        text.push_str(&quarantine.render());
+        text.push_str(&session.quarantine().render());
     }
-    if !failures.is_empty() {
-        let (survivors, requested) = coverage;
+    if session.is_degraded() {
+        let (survivors, requested) = session.coverage();
         text.push_str(&format!(
             "\nDEGRADED RUN: {survivors}/{requested} matcher(s) survived\n"
         ));
-        for f in failures {
+        for f in session.failures() {
             text.push_str(&format!("  {f}\n"));
         }
     }
@@ -1094,9 +1044,10 @@ fn render_audit_output(
         text.push_str(&format!(
             "\nAUDIT INTERRUPTED: cut at audit: {i} — {}/{} report(s) completed\n",
             reports.len(),
-            matcher_total
+            session.matcher_names().len()
         ));
     }
+    let clamped = session.clamped_scores();
     if clamped > 0 {
         text.push_str(&format!(
             "\nnote: {clamped} non-finite/out-of-range matcher score(s) clamped to [0,1]\n"
