@@ -1,17 +1,11 @@
-//! `bench_baseline` — the suite's end-to-end per-stage wall-time
-//! baseline, measured through the `fairem-obs` recorder rather than an
+//! `bench_baseline` — the check gate's snapshot validator and perf leg,
+//! both measured through the `fairem-obs` recorder rather than an
 //! external profiler, so the numbers are exactly what `--metrics`
-//! reports in production.
+//! reports in production. Benchmark runs themselves belong to
+//! `perfbench/`.
 //!
-//! Three modes:
+//! Two modes:
 //!
-//! - `bench_baseline [--out <path>]` (default `BENCH_baseline.json`):
-//!   run WDCProducts and Citations end to end (import → train → score →
-//!   audit → ensemble) under 1 and 4 fixed workers, and write the
-//!   per-stage totals as JSON (schema `fairem-bench-baseline/2`). Runs
-//!   measured by this binary carry an `engine` tag; engine-less runs in
-//!   an existing baseline file are the pre-columnar scalar history and
-//!   are preserved verbatim, so the speedup denominator stays pinned.
 //! - `bench_baseline --validate <path>`: parse a `fairem-obs/1`
 //!   snapshot (as written by `fairem audit --metrics <path>`), print its
 //!   per-stage totals, and exit non-zero if it does not parse — the
@@ -21,7 +15,8 @@
 //!   committed scalar baseline by ≥3×, and (b) on a generated ~10⁵-pair
 //!   batch a 4-worker pool is ≥2× faster than sequential — or, on a
 //!   single-hardware-thread host where a speedup is physically
-//!   impossible, the pool costs at most 35% overhead.
+//!   impossible, the pool costs at most 35% overhead. The scalar
+//!   baseline is the engine-less Citations run in `BENCH_baseline.json`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -42,13 +37,6 @@ use fairem_csvio::Json;
 use fairem_datasets::{citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig};
 use fairem_bench::OrFail;
 
-/// Baseline file schema. Version 2 added the per-run `engine` tag;
-/// engine-less runs are implicitly the version-1 scalar measurements.
-const SCHEMA: &str = "fairem-bench-baseline/2";
-
-/// Engine tag stamped on runs measured by this binary.
-const ENGINE: &str = "columnar";
-
 /// The CLI's default fleet — what `fairem audit` trains when no
 /// `--matchers` flag is given, so the baseline matches real runs.
 const MATCHERS: &[MatcherKind] = &[
@@ -56,10 +44,6 @@ const MATCHERS: &[MatcherKind] = &[
     MatcherKind::RfMatcher,
     MatcherKind::LinRegMatcher,
 ];
-
-/// The worker counts the determinism tests pin (sequential and a small
-/// fixed pool).
-const JOBS: &[usize] = &[1, 4];
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -71,122 +55,20 @@ fn main() -> ExitCode {
             };
             validate(Path::new(path))
         }
-        Some("--out") => {
-            let Some(path) = argv.get(1) else {
-                eprintln!("--out expects an output path");
-                return ExitCode::FAILURE;
-            };
-            baseline(Path::new(path))
-        }
         Some("--gate") => {
             let path = argv.get(1).map(String::as_str).unwrap_or("BENCH_baseline.json");
             gate(Path::new(path))
         }
-        None => baseline(Path::new("BENCH_baseline.json")),
-        Some(other) => {
-            eprintln!("unknown flag {other:?}; usage: bench_baseline [--out <path> | --validate <path> | --gate [<baseline>]]");
+        _ => {
+            eprintln!("usage: bench_baseline --validate <path> | --gate [<baseline>]");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Runs carried over from an existing baseline file: every engine-less
-/// (scalar-era) run, verbatim. Columnar runs are re-measured, so stale
-/// ones are dropped rather than accumulated.
-fn preserved_runs(out: &Path) -> Vec<Json> {
-    let Ok(raw) = std::fs::read_to_string(out) else {
-        return Vec::new();
-    };
-    let Ok(doc) = Json::parse(&raw) else {
-        eprintln!("warning: existing {} is not valid JSON; starting fresh", out.display());
-        return Vec::new();
-    };
-    match doc.get("runs") {
-        Some(Json::Arr(runs)) => runs
-            .iter()
-            .filter(|r| r.get("engine").is_none())
-            .cloned()
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Run every (dataset × jobs) cell and write the baseline JSON,
-/// preserving any scalar-era runs already in the file.
-fn baseline(out: &Path) -> ExitCode {
-    let datasets = [
-        wdc_products(&ProductsConfig::default()),
-        citations(&CitationsConfig::default()),
-    ];
-    let mut runs = preserved_runs(out);
-    for dataset in &datasets {
-        for &jobs in JOBS {
-            eprintln!("measuring {} under {jobs} worker(s)...", dataset.name);
-            let snapshot = run_once(dataset, jobs);
-            let stages = snapshot.stage_totals();
-            let mut obj = Json::obj([
-                ("dataset", Json::Str(dataset.name.clone())),
-                ("jobs", Json::Num(jobs as f64)),
-                ("engine", Json::Str(ENGINE.into())),
-            ]);
-            let mut table = Json::obj([]);
-            for (stage, secs) in &stages {
-                println!("  {:>12} {:>10.4}s  ({} x{jobs})", stage, secs, dataset.name);
-                table.push(stage.clone(), Json::Num(*secs));
-            }
-            obj.push("stage_secs", table);
-            // Memory accounting from the same recorder pass: overall
-            // peak-resident, per-stage peaks (the `mem.stage_peak_bytes.*`
-            // gauge family), and the shard count the run executed with.
-            let mut peaks = Json::obj([]);
-            const STAGE_PEAK: &str = "mem.stage_peak_bytes.";
-            for (name, value) in &snapshot.gauges {
-                if let Some(stage) = name.strip_prefix(STAGE_PEAK) {
-                    println!(
-                        "  {:>12} {:>10.1} KiB peak  ({} x{jobs})",
-                        stage,
-                        value / 1024.0,
-                        dataset.name
-                    );
-                    peaks.push(stage.to_owned(), Json::Num(*value));
-                }
-            }
-            obj.push("stage_peak_bytes", peaks);
-            obj.push("peak_resident_bytes", Json::Num(gauge(&snapshot, "mem.peak_bytes")));
-            obj.push("shards", Json::Num(gauge(&snapshot, "shard.count").max(1.0)));
-            runs.push(obj);
-        }
-    }
-    let doc = Json::obj([
-        ("schema", Json::Str(SCHEMA.into())),
-        (
-            "matchers",
-            Json::arr(MATCHERS.iter().map(|k| Json::Str(k.name().into()))),
-        ),
-        ("runs", Json::arr(runs)),
-    ]);
-    if let Err(e) = std::fs::write(out, doc.to_string_pretty() + "\n") {
-        eprintln!("writing {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", out.display());
-    ExitCode::SUCCESS
-}
-
-/// Read one gauge out of a snapshot (0.0 when absent).
-fn gauge(snapshot: &Snapshot, name: &str) -> f64 {
-    snapshot
-        .gauges
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0.0)
-}
-
 /// One full pipeline pass under a live recorder; returns the recorder
 /// snapshot (stage wall times via
-/// [`fairem_obs::Snapshot::stage_totals`], memory peaks in the
-/// `mem.*` gauges).
+/// [`fairem_obs::Snapshot::stage_totals`]).
 fn run_once(dataset: &GeneratedDataset, jobs: usize) -> Snapshot {
     let observe = Recorder::enabled();
     let config = SuiteConfig {

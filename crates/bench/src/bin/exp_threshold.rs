@@ -6,6 +6,7 @@ use fairem_bench::{faculty_session, FAIRNESS_THRESHOLD};
 use fairem_core::fairness::{Disparity, FairnessMeasure};
 use fairem_core::sensitive::GroupId;
 use fairem_core::threshold::{auc_parity, default_grid, suggest_threshold, sweep};
+use fairem_core::CalibrationSpec;
 use fairem_bench::OrFail;
 
 fn main() {
@@ -73,7 +74,7 @@ fn main() {
     // 4. Per-group Platt calibration as a resolution.
     println!("\nper-group calibration resolution (TPRP at threshold 0.5):");
     let calibrated = session
-        .calibrated_workload("LinRegMatcher", &groups)
+        .calibrated_workload_with("LinRegMatcher", CalibrationSpec::platt(), &groups)
         .orfail("LinRegMatcher trained");
     for &g in &groups {
         let before = workload.group_confusion(g).tpr();

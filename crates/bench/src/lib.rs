@@ -1,9 +1,9 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benches: builds the demo sessions (FacultyMatch, NoFlyCompas) with
-//! the same parameters every figure uses, so numbers are comparable
-//! across binaries.
-
-pub mod crit;
+//! Shared harness for the figure-regeneration and experiment binaries:
+//! builds the demo sessions (FacultyMatch, NoFlyCompas) with the same
+//! parameters every figure uses, so numbers are comparable across
+//! binaries. Timing lives in `perfbench/` (see its README), the one
+//! benchmark runner; `bench_baseline` here only validates snapshots and
+//! runs the check-gate perf leg.
 
 use fairem_core::audit::{AuditConfig, Auditor};
 use fairem_core::fairness::{Disparity, FairnessMeasure};
@@ -100,15 +100,6 @@ pub fn faculty_session() -> Session {
         .orfail("faculty fleet trains")
 }
 
-/// Train a reduced fleet (fast; used by benches that only need two
-/// matchers' workloads).
-pub fn faculty_session_small() -> Session {
-    let dataset = faculty_match(&FacultyConfig::small());
-    import(&dataset)
-        .try_run(&[MatcherKind::DtMatcher, MatcherKind::LinRegMatcher])
-        .orfail("reduced fleet trains")
-}
-
 /// The default auditor used by the figures: single fairness, the five
 /// headline measures, subtraction disparity, thresholds per the demo.
 pub fn default_auditor() -> Auditor {
@@ -127,7 +118,9 @@ mod tests {
 
     #[test]
     fn small_session_builds_and_audits() {
-        let s = faculty_session_small();
+        let s = import(&faculty_match(&FacultyConfig::small()))
+            .try_run(&[MatcherKind::DtMatcher, MatcherKind::LinRegMatcher])
+            .unwrap();
         let reports = s.audit_all(&default_auditor());
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| !r.entries.is_empty()));

@@ -22,8 +22,8 @@ use crate::threshold::sweep;
 use crate::workload::{Correspondence, Workload};
 
 /// Assign each correspondence to the first group (in `groups` order)
-/// either side belongs to — the same routing rule the per-group Platt
-/// resolution uses, so calibrators and audits agree on membership.
+/// either side belongs to — one routing rule for fitting and applying,
+/// so calibrators and audits agree on membership.
 pub fn assign_groups(items: &[Correspondence], groups: &[GroupId]) -> Vec<Option<usize>> {
     items
         .iter()
@@ -319,6 +319,30 @@ mod tests {
         assert!(after.max_ks() < before.max_ks(), "{} vs {}", after.max_ks(), before.max_ks());
         assert!(after.max_wasserstein() < before.max_wasserstein());
         assert!(after.max_area() < before.max_area());
+    }
+
+    #[test]
+    fn per_group_calibration_restores_fairness_at_fixed_threshold() {
+        let w = miscalibrated();
+        let sp = space();
+        let groups: Vec<GroupId> = sp.ids().collect();
+        // Before: cn TPR at 0.5 is 0.
+        let before = w.group_confusion(groups[0]).tpr();
+        assert!(before < 0.1, "{before}");
+        let pool = WorkerPool::with_parallelism(Parallelism::Off);
+        let cal = fit_on_workload(
+            CalibrationSpec::platt(),
+            &w,
+            &groups,
+            &pool,
+            &CancelToken::inert(),
+        )
+        .expect("inert token");
+        let calibrated = apply_calibrator(&cal, &w, &groups);
+        let after = calibrated.group_confusion(groups[0]).tpr();
+        assert!(after > 0.8, "calibrated cn TPR {after}");
+        // us remains good.
+        assert!(calibrated.group_confusion(groups[1]).tpr() > 0.8);
     }
 
     #[test]

@@ -555,6 +555,27 @@ mod tests {
     }
 
     #[test]
+    fn a_manifest_nested_past_the_parser_cap_is_recomputed() {
+        // Hostile nesting in both files: far past the JSON depth cap, so
+        // an uncapped recursive parser would overflow the stack.
+        let deep = "[".repeat(100_000);
+        let d = tmpdir("deep");
+        let s = CheckpointStore::open(&d, 9, 2, false).unwrap();
+        s.store_shard(0, WIDTH, &record()).unwrap();
+        fs::write(d.join("manifest.json"), &deep).unwrap();
+        fs::write(d.join("shard-0.json"), &deep).unwrap();
+        let obs = Recorder::enabled();
+        let resumed = CheckpointStore::open(&d, 9, 2, true).unwrap();
+        assert!(resumed.resume_shard(0, WIDTH, &fleet(), &obs).is_none());
+        assert_eq!(counter(&obs, "ckpt.shards_recomputed"), 1);
+        assert_eq!(counter(&obs, "ckpt.shards_skipped"), 0);
+        // The unreadable manifest was replaced under the current schema.
+        let m = fs::read_to_string(d.join("manifest.json")).unwrap();
+        assert!(m.contains(CKPT_SCHEMA), "{m}");
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
     fn fresh_open_without_resume_invalidates_nothing_but_rewrites_manifest() {
         let d = tmpdir("fresh");
         let s = CheckpointStore::open(&d, 5, 2, false).unwrap();

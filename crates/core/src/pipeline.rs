@@ -1475,45 +1475,6 @@ impl Session {
         self.workload_from_scores(self.score_test_with(&matcher))
     }
 
-    /// Calibration-based resolution (ref \[10\] style): per-group Platt
-    /// calibration of a matcher's scores fitted on the training split,
-    /// applied to the evaluation workload. Unknown names are a
-    /// [`SuiteError::UnknownMatcher`].
-    pub fn calibrated_workload(
-        &self,
-        matcher: &str,
-        groups: &[crate::sensitive::GroupId],
-    ) -> SuiteResult<Workload> {
-        // Score the *training* pairs with the trained matcher to fit the
-        // calibrators on held-in data.
-        let m = self
-            .registry
-            .iter()
-            .find(|m| m.name() == matcher)
-            .ok_or_else(|| self.unknown_matcher(matcher))?;
-        let train_scores = m.score_batch(&self.train_features, &self.train_tokens);
-        let train_items: Vec<Correspondence> = self
-            .train_pairs
-            .iter()
-            .zip(&self.train_labels)
-            .zip(train_scores)
-            .map(|((&(ra, rb), &y), score)| Correspondence {
-                a_row: ra,
-                b_row: rb,
-                score,
-                truth: y == 1.0,
-                left: self.enc_a[ra],
-                right: self.enc_b[rb],
-            })
-            .collect();
-        let train_workload = Workload::new(train_items, self.matching_threshold);
-        Ok(crate::threshold::calibrate_per_group(
-            &train_workload,
-            &self.workload(matcher)?,
-            groups,
-        ))
-    }
-
     /// The session's configured calibration policy (from
     /// [`SuiteBuilder::calibration`]), if any.
     pub fn calibration(&self) -> Option<CalibrationSpec> {
@@ -1916,7 +1877,8 @@ mod tests {
             s.workload("MCAN").map(|_| ()),
             s.tune_threshold("MCAN").map(|_| ()),
             s.performance("MCAN").map(|_| ()),
-            s.calibrated_workload("MCAN", &[]).map(|_| ()),
+            s.calibrated_workload_with("MCAN", CalibrationSpec::platt(), &[])
+                .map(|_| ()),
         ] {
             match outcome {
                 Err(SuiteError::UnknownMatcher { matcher, known }) => {

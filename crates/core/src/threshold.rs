@@ -1,10 +1,11 @@
 //! Threshold-sensitivity analysis and threshold-independent fairness —
 //! the extension directions the paper cites: tuning matching thresholds
-//! for fairness (Moslemi & Milani, ref \[10\]), AUC-based fairness
-//! (Nilforoushan et al., ref \[12\]), and per-group score calibration as
-//! an alternative resolution to switching matchers.
+//! for fairness (Moslemi & Milani, ref \[10\]) and AUC-based fairness
+//! (Nilforoushan et al., ref \[12\]). Per-group score calibration, the
+//! other resolution beside switching matchers, lives in
+//! [`crate::calibrate`].
 
-use fairem_ml::{auc_roc, PlattScaler};
+use fairem_ml::auc_roc;
 
 use crate::fairness::{Disparity, FairnessMeasure};
 use crate::sensitive::{GroupId, GroupSpace};
@@ -172,56 +173,6 @@ pub fn auc_parity(
         .collect()
 }
 
-/// Per-group score calibration (the ref \[10\]-style resolution): fit a
-/// Platt scaler per group on a *training* workload's scores, then remap
-/// the evaluation workload's scores, so a single matching threshold
-/// treats all groups comparably. Correspondences are assigned to the
-/// first group (in `groups` order) either side belongs to; unassigned
-/// ones use a global calibrator.
-pub fn calibrate_per_group(train: &Workload, eval: &Workload, groups: &[GroupId]) -> Workload {
-    assert!(!groups.is_empty(), "need at least one calibration group");
-    let assign = |c: &crate::workload::Correspondence| -> Option<usize> {
-        groups
-            .iter()
-            .position(|&g| c.left.contains(g) || c.right.contains(g))
-    };
-    // Collect per-group training scores (+ a global pool).
-    let mut pools: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); groups.len() + 1];
-    for c in &train.items {
-        let idx = assign(c).unwrap_or(groups.len());
-        pools[idx].0.push(c.score);
-        pools[idx].1.push(f64::from(c.truth));
-        pools[groups.len()].0.push(c.score);
-        pools[groups.len()].1.push(f64::from(c.truth));
-    }
-    let global = PlattScaler::fit(&pools[groups.len()].0, &pools[groups.len()].1);
-    let scalers: Vec<PlattScaler> = pools[..groups.len()]
-        .iter()
-        .map(|(s, y)| {
-            // Groups with too little data or one class fall back to the
-            // global calibrator.
-            let has_both = y.contains(&1.0) && y.contains(&0.0);
-            if s.len() >= 10 && has_both {
-                PlattScaler::fit(s, y)
-            } else {
-                global
-            }
-        })
-        .collect();
-    let items = eval
-        .items
-        .iter()
-        .map(|c| {
-            let scaler = assign(c).map_or(global, |i| scalers[i]);
-            crate::workload::Correspondence {
-                score: scaler.transform(c.score),
-                ..*c
-            }
-        })
-        .collect();
-    Workload::new(items, eval.threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,21 +283,6 @@ mod tests {
             assert!((e.auc - 1.0).abs() < 1e-9, "{}: {}", e.group, e.auc);
             assert_eq!(e.disparity, 0.0);
         }
-    }
-
-    #[test]
-    fn per_group_calibration_restores_fairness_at_fixed_threshold() {
-        let w = miscalibrated();
-        let sp = space();
-        let groups: Vec<GroupId> = sp.ids().collect();
-        // Before: cn TPR at 0.5 is 0.
-        let before = w.group_confusion(groups[0]).tpr();
-        assert!(before < 0.1, "{before}");
-        let calibrated = calibrate_per_group(&w, &w, &groups);
-        let after = calibrated.group_confusion(groups[0]).tpr();
-        assert!(after > 0.8, "calibrated cn TPR {after}");
-        // us remains good.
-        assert!(calibrated.group_confusion(groups[1]).tpr() > 0.8);
     }
 
     #[test]

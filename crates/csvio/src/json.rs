@@ -1,11 +1,20 @@
-//! A minimal JSON value model, emitter, and parser.
+//! A minimal JSON value model, emitter, and parser — the workspace's one
+//! JSON codec.
 //!
-//! Report rendering *produces* JSON (machine-readable audit artifacts);
-//! the parser ([`Json::parse`]) closes the loop for round-trip tests and
-//! config-file ingestion. Object key order is insertion order, which
-//! keeps emitted reports deterministic.
+//! Report rendering *produces* JSON (machine-readable audit artifacts,
+//! snapshots, checkpoints, lint reports and the lint cache); the parser
+//! ([`Json::parse`]) reads those back, including bytes from outside the
+//! process, so it is strict and bounded: nesting past [`MAX_DEPTH`] is
+//! an error rather than a stack overflow, and `\u` escapes must form
+//! valid scalar values. Object key order is insertion order, which keeps
+//! emitted reports deterministic.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the workspace writes nests a handful of levels; the cap keeps the
+/// recursive parser's stack use bounded on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,10 +59,14 @@ impl Json {
     ///
     /// Standard JSON with two liberties matching the emitter: duplicate
     /// object keys are kept (insertion order), and numbers are `f64`.
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`], lone or
+    /// mismatched UTF-16 surrogate escapes, and trailing characters are
+    /// errors.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             chars: text.chars().peekable(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -83,10 +96,37 @@ impl Json {
         }
     }
 
+    /// The value as a non-negative integer, if it is one that `f64`
+    /// holds exactly (at most 2^53).
+    pub fn as_usize(&self) -> Option<usize> {
+        let n = self.as_num()?;
+        if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n) {
+            usize::try_from(n as u64).ok()
+        } else {
+            None
+        }
+    }
+
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value's items, if it is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -207,6 +247,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -262,8 +304,19 @@ impl Parser<'_> {
                 self.literal("alse", Json::Bool(false))
             }
             Some('"') => self.string().map(Json::Str),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
+            Some(&open @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return self.fail(format!("nesting deeper than {MAX_DEPTH} levels"));
+                }
+                self.depth += 1;
+                let v = if open == '[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if *c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => {
                 let c = *c;
@@ -290,20 +343,24 @@ impl Parser<'_> {
                     Some('b') => out.push('\u{8}'),
                     Some('f') => out.push('\u{c}'),
                     Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or(JsonError {
-                                pos: self.pos,
-                                message: "truncated \\u escape".into(),
-                            })?;
-                            let digit = d.to_digit(16).ok_or(JsonError {
-                                pos: self.pos,
-                                message: format!("bad hex digit {d:?}"),
-                            })?;
-                            code = code * 16 + digit;
+                        let mut code = self.hex4()?;
+                        if (0xd800..0xdc00).contains(&code) {
+                            // A high surrogate must be followed by an
+                            // escaped low one; together they encode one
+                            // scalar above the BMP.
+                            if self.bump() != Some('\\') || self.bump() != Some('u') {
+                                return self.fail("lone high surrogate");
+                            }
+                            let low = self.hex4()?;
+                            if !(0xdc00..0xe000).contains(&low) {
+                                return self.fail("bad low surrogate");
+                            }
+                            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
                         }
-                        // Surrogates are replaced, matching lenient parsers.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        match char::from_u32(code) {
+                            Some(c) => out.push(c),
+                            None => return self.fail("lone low surrogate"),
+                        }
                     }
                     Some(other) => return self.fail(format!("bad escape \\{other}")),
                     None => return self.fail("unterminated escape"),
@@ -311,6 +368,21 @@ impl Parser<'_> {
                 Some(c) => out.push(c),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let Some(d) = self.bump() else {
+                return self.fail("truncated \\u escape");
+            };
+            let Some(digit) = d.to_digit(16) else {
+                return self.fail(format!("bad hex digit {d:?}"));
+            };
+            code = code * 16 + digit;
+        }
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -504,15 +576,64 @@ mod tests {
             .message
             .contains("trailing"));
         assert!(Json::parse("nul").is_err());
+        for bad in ["{", "[1,]", "{\"a\":}", "tru", "1 2", "\"x", "{\"a\" 1}"] {
+            let e = Json::parse(bad).unwrap_err();
+            assert!(e.pos <= bad.chars().count(), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn parses_unicode_escapes_and_surrogates() {
+        assert_eq!(Json::parse(r#""é 😀""#).unwrap(), Json::Str("é 😀".into()));
+        assert_eq!(
+            Json::parse(r#""\u00e9 \ud83d\ude00""#).unwrap(),
+            Json::Str("é 😀".into())
+        );
+        for (bad, why) in [
+            (r#""\ud83d""#, "lone high surrogate"),
+            (r#""\ud83dx""#, "lone high surrogate"),
+            (r#""\ud83d\u0041""#, "bad low surrogate"),
+            (r#""\ude00""#, "lone low surrogate"),
+        ] {
+            let e = Json::parse(bad).unwrap_err();
+            assert!(e.message.contains(why), "{bad}: {e}");
+        }
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let at_cap = Json::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(at_cap.to_string_compact(), nested(MAX_DEPTH));
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert_eq!(e.pos, MAX_DEPTH);
+        // Objects count toward the same cap as arrays.
+        let mixed = "{\"k\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&mixed).unwrap_err().message.contains("nesting"));
+        // Far past the cap is the same error, not a stack overflow.
+        let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
     }
 
     #[test]
     fn accessors_navigate_objects() {
-        let j = Json::parse(r#"{"a": {"b": [1, "x"]}}"#).unwrap();
+        let j = Json::parse(r#"{"a": {"b": [1, "x"]}, "t": true}"#).unwrap();
         let inner = j.get("a").unwrap();
-        assert!(inner.get("b").is_some());
+        let b = inner.get("b").and_then(Json::as_arr).unwrap();
+        assert_eq!(b.len(), 2);
+        assert_eq!(b[0].as_usize(), Some(1));
+        assert_eq!(b[1].as_usize(), None);
+        assert_eq!(j.get("t").and_then(Json::as_bool), Some(true));
         assert!(j.get("missing").is_none());
         assert!(j.as_num().is_none());
+        assert!(j.as_arr().is_none());
+        for not_an_index in [-1.0, 0.5, 1e300, f64::NAN] {
+            assert_eq!(Json::Num(not_an_index).as_usize(), None, "{not_an_index}");
+        }
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! `[dependencies]`, `[dev-dependencies]`, `[build-dependencies]`,
 //! and `[workspace.dependencies]` is workspace-internal: a `fairem-*`
 //! crate declared via `workspace = true` or a `path = "…"` entry.
-//!
-//! The single sanctioned escape is a dependency that is `optional`
-//! **and** activated only by the non-default `heavy` feature (the slot
-//! reserved for criterion-class benchmarking extras) — everything else
-//! is a finding, because an external crate is an unpinned source of
+//! There is no escape — an optional or feature-gated external crate is
+//! a finding too, because an external crate is an unpinned source of
 //! nondeterminism and build drift.
 
 use crate::rules::Finding;
@@ -23,10 +20,6 @@ pub const RULE: &str = "hermetic_deps";
 pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut section = String::new();
-    // Dependencies seen as (name, line, declared_hermetic, optional).
-    let mut deps: Vec<(String, usize, bool, bool)> = Vec::new();
-    // Contents of `[features] heavy = […]`.
-    let mut heavy_feature: Vec<String> = Vec::new();
 
     for (i, raw) in src.lines().enumerate() {
         let line = strip_toml_comment(raw);
@@ -44,15 +37,6 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
         let key = key_part.trim();
         let value = value.trim();
 
-        if section == "features" && key == "heavy" {
-            heavy_feature = value
-                .trim_matches(|c: char| c == '[' || c == ']')
-                .split(',')
-                .map(|s| s.trim().trim_matches('"').to_owned())
-                .filter(|s| !s.is_empty())
-                .collect();
-            continue;
-        }
         let dep_section = matches!(
             section.as_str(),
             "dependencies" | "dev-dependencies" | "build-dependencies" | "workspace.dependencies"
@@ -66,20 +50,8 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
             None => (key, value.to_owned()),
         };
         let hermetic = spec.contains("workspace = true") || spec.contains("path =");
-        let optional = spec.contains("optional = true");
-        deps.push((name.to_owned(), i + 1, hermetic, optional));
-    }
-
-    for (name, line, hermetic, optional) in deps {
         let internal = name.starts_with("fairem-") || name.starts_with("fairem_");
         if internal && hermetic {
-            continue;
-        }
-        let heavy_gated = optional
-            && heavy_feature
-                .iter()
-                .any(|f| f == &format!("dep:{name}") || f.starts_with(&format!("{name}/")));
-        if heavy_gated {
             continue;
         }
         let why = if !internal {
@@ -89,7 +61,7 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
         };
         out.push(Finding {
             rel: rel.to_owned(),
-            line,
+            line: i + 1,
             rule: RULE,
             msg: format!(
                 "dependency `{name}` is not workspace-internal ({why}) and not gated behind the `heavy` feature"
@@ -134,9 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn heavy_gated_optional_dep_passes() {
+    fn heavy_gated_optional_dep_is_flagged() {
         let src = "[dependencies]\ncriterion = { version = \"0.5\", optional = true }\n\n[features]\nheavy = [\"dep:criterion\"]\n";
-        assert!(check_manifest("crates/bench/Cargo.toml", src).is_empty());
+        let f = check_manifest("crates/bench/Cargo.toml", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].msg.contains("criterion"));
     }
 
     #[test]

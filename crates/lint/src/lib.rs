@@ -48,15 +48,15 @@
 //! `lint.files_{analyzed,cached}` through `fairem-obs`. Findings are
 //! bit-identical across `FAIREM_JOBS` settings and cold/warm cache
 //! runs. The binary prints `file:line rule message` (or
-//! `--format json`, schema `fairem-lint/2` via the dependency-free
-//! [`json`] module) and exits nonzero when any finding survives.
+//! `--format json`, schema `fairem-lint/2`, written and validated with
+//! the workspace's one JSON codec, [`fairem_csvio::Json`], which also
+//! reads the cache) and exits nonzero when any finding survives.
 
 pub mod cache;
 pub mod deps;
 pub mod driver;
 pub mod graph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod source;

@@ -501,7 +501,7 @@ mod tests {
         let src = "use std::time::Instant;\n";
         assert_eq!(run(&ClockRule, "crates/core/src/audit.rs", src).len(), 1);
         assert!(run(&ClockRule, "crates/par/src/pool.rs", src).is_empty());
-        assert!(run(&ClockRule, "crates/bench/src/crit.rs", src).is_empty());
+        assert!(run(&ClockRule, "crates/bench/src/bin/bench_baseline.rs", src).is_empty());
     }
 
     #[test]

@@ -14,6 +14,13 @@ else
   echo "skipped (SKIP_RELEASE=1)"
 fi
 
+# perfbench/ is a workspace of its own that builds against the suite's
+# crates by path, so nothing else here compiles it: a workspace API
+# change that breaks the benchmark must fail this gate, not the next
+# benchmark run.
+echo "== benchmark: perfbench builds against the workspace =="
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 # The suite promises identical results under every parallelism policy,
 # so the whole test matrix runs twice: pinned sequential and pinned to
 # a 4-worker pool (FAIREM_JOBS drives Parallelism::Auto).

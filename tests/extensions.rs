@@ -8,6 +8,7 @@ use fairem360::core::matcher::MatcherKind;
 use fairem360::core::pipeline::{FairEm360, SuiteConfig};
 use fairem360::core::sensitive::{GroupId, SensitiveAttr};
 use fairem360::core::threshold::{auc_parity, default_grid, group_auc, suggest_threshold, sweep};
+use fairem360::core::CalibrationSpec;
 use fairem360::csvio::parse_csv_str;
 use fairem360::datasets::{faculty_match, FacultyConfig};
 
@@ -82,7 +83,9 @@ fn calibration_resolution_reduces_cn_disparity() {
         .unwrap()
         .group_confusion(cn)
         .tpr();
-    let calibrated = s.calibrated_workload("LinRegMatcher", &groups).unwrap();
+    let calibrated = s
+        .calibrated_workload_with("LinRegMatcher", CalibrationSpec::platt(), &groups)
+        .unwrap();
     let after = calibrated.group_confusion(cn).tpr();
     assert!(after > before + 0.1, "calibration: {before} -> {after}");
 }
