@@ -13,10 +13,9 @@
 //! - `bench_baseline --gate [<baseline path>]`: the performance gate.
 //!   Fails unless (a) sequential Citations featurization beats the
 //!   committed scalar baseline by ≥3×, and (b) on a generated ~10⁵-pair
-//!   batch a 4-worker pool is ≥2× faster than sequential — or, on a
-//!   single-hardware-thread host where a speedup is physically
-//!   impossible, the pool costs at most 35% overhead. The scalar
-//!   baseline is the engine-less Citations run in `BENCH_baseline.json`.
+//!   batch a 4-worker pool reaches 75% parallel efficiency against
+//!   `min(4, available_parallelism)`. The scalar baseline is the
+//!   engine-less Citations run in `BENCH_baseline.json`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -44,6 +43,12 @@ const MATCHERS: &[MatcherKind] = &[
     MatcherKind::RfMatcher,
     MatcherKind::LinRegMatcher,
 ];
+
+/// Workers in the pool leg of the gate.
+const POOL_WORKERS: usize = 4;
+/// The pool leg's bar: speedup over sequential divided by
+/// `min(POOL_WORKERS, available_parallelism)`.
+const MIN_POOL_EFFICIENCY: f64 = 0.75;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -221,11 +226,12 @@ fn time_matrix(gen: &FeatureGenerator, pairs: &[(usize, usize)], workers: usize)
 /// 1. Sequential Citations featurization (the full pipeline `features`
 ///    stage, build included) is ≥3× faster than the committed scalar
 ///    baseline.
-/// 2. On a generated ~10⁵-pair batch, a 4-worker pool is ≥2× faster
-///    than sequential. On a host with a single hardware thread a
-///    speedup is physically impossible, so the gate degrades to the
-///    claim that still holds there: coarse chunking keeps pool overhead
-///    ≤35% over sequential.
+/// 2. On a generated ~10⁵-pair batch, a 4-worker pool reaches a
+///    parallel efficiency of at least [`MIN_POOL_EFFICIENCY`]: its
+///    speedup over sequential, divided by the most the host allows,
+///    `min(4, available_parallelism)`. That is ≥1.5× on two hardware
+///    threads, ≥3× on four or more, and on one hardware thread a pool
+///    overhead of at most 1/0.75 − 1 ≈ 33%.
 fn gate(baseline_path: &Path) -> ExitCode {
     let mut ok = true;
 
@@ -266,28 +272,23 @@ fn gate(baseline_path: &Path) -> ExitCode {
     let pairs: Vec<(usize, usize)> = (0..100_000)
         .map(|i| (i % a.len(), (i * 31) % b.len()))
         .collect();
-    eprintln!("gate: measuring {} pairs, sequential vs 4 workers...", pairs.len());
+    eprintln!(
+        "gate: measuring {} pairs, sequential vs {POOL_WORKERS} workers...",
+        pairs.len()
+    );
     let seq = time_matrix(&generator, &pairs, 1);
-    let par = time_matrix(&generator, &pairs, 4);
+    let par = time_matrix(&generator, &pairs, POOL_WORKERS);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 2 {
-        let speedup = seq / par;
-        println!(
-            "gate: 1e5-pair batch seq {seq:.4}s vs 4 workers {par:.4}s -> {speedup:.2}x (need 2.00x, {cores} hardware threads)"
-        );
-        if speedup < 2.0 {
-            eprintln!("gate: FAIL — pooled featurization below the 2x bar");
-            ok = false;
-        }
-    } else {
-        let overhead = par / seq;
-        println!(
-            "gate: 1e5-pair batch seq {seq:.4}s vs 4 workers {par:.4}s -> {overhead:.2}x overhead (single hardware thread; cap 1.35x)"
-        );
-        if par > seq * 1.35 {
-            eprintln!("gate: FAIL — pool overhead above the 35% single-core cap");
-            ok = false;
-        }
+    let ceiling = POOL_WORKERS.min(cores);
+    let speedup = seq / par;
+    let efficiency = speedup / ceiling as f64;
+    println!(
+        "gate: 1e5-pair batch seq {seq:.4}s vs {POOL_WORKERS} workers {par:.4}s -> {speedup:.2}x \
+         = {efficiency:.2} of the {ceiling}x ceiling (need {MIN_POOL_EFFICIENCY:.2}, {cores} hardware threads)"
+    );
+    if efficiency < MIN_POOL_EFFICIENCY {
+        eprintln!("gate: FAIL — pooled featurization below the parallel-efficiency bar");
+        ok = false;
     }
 
     if ok {

@@ -10,9 +10,11 @@
 //! recomputed every run (they depend on the whole walk, not one
 //! file), which is what keeps cold and warm findings bit-identical.
 //!
-//! The file is versioned (`fairem-lint-cache/1`); any load failure —
+//! The file is versioned (`fairem-lint-cache/2`); any load failure —
 //! missing file, version skew, malformed JSON, an unknown rule name
 //! from an older catalog — degrades to a cold run, never to an error.
+//! Cached findings carry their message text, so a change to a rule's
+//! message bumps the version.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -27,7 +29,7 @@ use crate::rules::Finding;
 use crate::source::Pragma;
 
 /// Cache schema version tag.
-pub const FORMAT: &str = "fairem-lint-cache/1";
+pub const FORMAT: &str = "fairem-lint-cache/2";
 
 /// One file's full analysis artifact — everything the driver needs to
 /// skip re-analyzing an unchanged file.

@@ -63,9 +63,7 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
             rel: rel.to_owned(),
             line: i + 1,
             rule: RULE,
-            msg: format!(
-                "dependency `{name}` is not workspace-internal ({why}) and not gated behind the `heavy` feature"
-            ),
+            msg: format!("dependency `{name}` is not workspace-internal ({why})"),
         });
     }
     out

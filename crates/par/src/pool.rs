@@ -7,6 +7,9 @@
 //! chunk index, and the caller stitches outputs back in chunk order —
 //! so the assembled result is **bit-for-bit identical** to a sequential
 //! run no matter how many workers raced or how chunks interleaved.
+//! The data-parallel maps cut about four chunks per worker; the
+//! isolated maps, whose items are whole matchers, make every item its
+//! own chunk.
 //!
 //! Worker threads are scoped to the parallel region (fork-join): the
 //! pool object carries the policy, not live threads, so there is no
@@ -171,22 +174,26 @@ impl WorkerPool {
         self.workers
     }
 
-    /// The chunk size used for `n` items: roughly four chunks per
-    /// worker, so stragglers rebalance without drowning the scheduler
-    /// in tiny chunks.
+    /// The chunk size [`WorkerPool::par_map`] and its siblings use for
+    /// `n` items: roughly four chunks per worker, so stragglers
+    /// rebalance without drowning the scheduler in tiny chunks. The
+    /// isolated maps do not use it: their items are whole matchers, and
+    /// each is its own chunk.
     fn chunk_for(&self, n: usize) -> usize {
         n.div_ceil(self.workers * 4).max(1)
     }
 
-    /// Run `per_chunk` over chunks of `0..n`, observing `token` (when
-    /// given) before each chunk is pulled: a tripped token stops the
-    /// pull, in-flight chunks finish, and the harvest may be partial.
+    /// Run `per_chunk` over chunks of `chunk` items covering `0..n`,
+    /// observing `token` (when given) before each chunk is pulled: a
+    /// tripped token stops the pull, in-flight chunks finish, and the
+    /// harvest may be partial.
     /// `per_chunk` must not unwind (callers wrap it in [`contain`]); if
     /// it does anyway, the panic is re-raised on the calling thread
     /// after all workers finish.
     fn harvest<T: Send>(
         &self,
         n: usize,
+        chunk: usize,
         token: Option<&CancelToken>,
         per_chunk: impl Fn(Range<usize>) -> T + Sync,
     ) -> Harvest<T> {
@@ -196,7 +203,6 @@ impl WorkerPool {
                 n_chunks: 0,
             };
         }
-        let chunk = self.chunk_for(n);
         let n_chunks = n.div_ceil(chunk);
         let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
         let tripped = || token.is_some_and(CancelToken::is_cancelled);
@@ -267,15 +273,16 @@ impl WorkerPool {
         Harvest { tagged, n_chunks }
     }
 
-    /// Run `per_chunk` over every chunk of `0..n` and return the
-    /// outputs in chunk order.
+    /// Run `per_chunk` over every chunk of `chunk` items covering `0..n`
+    /// and return the outputs in chunk order.
     fn run_chunks<T: Send>(
         &self,
         n: usize,
+        chunk: usize,
         per_chunk: impl Fn(Range<usize>) -> T + Sync,
     ) -> Vec<T> {
         // Without a token the harvest is always complete.
-        self.harvest(n, None, per_chunk)
+        self.harvest(n, chunk, None, per_chunk)
             .tagged
             .into_iter()
             .map(|(_, t)| t)
@@ -335,7 +342,7 @@ impl WorkerPool {
         f: impl Fn(usize) -> T + Sync,
     ) -> Result<Vec<T>, ChunkPanic> {
         let f = &f;
-        let chunks = self.run_chunks(n, move |range| {
+        let chunks = self.run_chunks(n, self.chunk_for(n), move |range| {
             let r = range.clone();
             contain(move || r.map(f).collect::<Vec<T>>())
                 .map_err(|detail| ChunkPanic { range, detail })
@@ -350,12 +357,18 @@ impl WorkerPool {
     /// Parallel map with **per-item** panic isolation: every index gets
     /// its own contained outcome, so one poisoned item degrades only
     /// itself — the shape the per-matcher train/score fan-out needs.
+    ///
+    /// Every item is its own chunk. An item here is a whole matcher's
+    /// training or scoring, seconds long and uneven, so workers pull
+    /// one matcher at a time: two long matchers never queue behind each
+    /// other in one chunk while another worker idles. Results still
+    /// come back in index order.
     pub fn par_map_isolated<T: Send>(
         &self,
         n: usize,
         f: impl Fn(usize) -> T + Sync,
     ) -> Vec<Result<T, String>> {
-        self.run_chunks(n, |range| {
+        self.run_chunks(n, 1, |range| {
             range.map(|i| contain(|| f(i))).collect::<Vec<_>>()
         })
         .into_iter()
@@ -428,7 +441,7 @@ impl WorkerPool {
     ) -> Result<ParOutcome<Vec<T>>, ChunkPanic> {
         let init = &init;
         let f = &f;
-        let h = self.harvest(n, Some(token), move |range| {
+        let h = self.harvest(n, self.chunk_for(n), Some(token), move |range| {
             let r = range.clone();
             contain(move || {
                 let mut scratch = init();
@@ -445,16 +458,16 @@ impl WorkerPool {
     }
 
     /// Cancellable [`WorkerPool::par_map_isolated`]: per-item panic
-    /// isolation plus cooperative cancellation between chunks. Panicked
-    /// items are `Err` entries in the outcome (they count as completed
-    /// — the item *ran*, it just failed).
+    /// isolation plus cooperative cancellation between items, each its
+    /// own chunk. Panicked items are `Err` entries in the outcome (they
+    /// count as completed — the item *ran*, it just failed).
     pub fn par_map_isolated_within<T: Send>(
         &self,
         n: usize,
         token: &CancelToken,
         f: impl Fn(usize) -> T + Sync,
     ) -> ParOutcome<Vec<Result<T, String>>> {
-        let h = self.harvest(n, Some(token), |range| {
+        let h = self.harvest(n, 1, Some(token), |range| {
             range.map(|i| contain(|| f(i))).collect::<Vec<_>>()
         });
         WorkerPool::assemble(h, n, token)

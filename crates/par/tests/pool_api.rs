@@ -146,3 +146,48 @@ fn cancellable_map_accounts_partial_progress() {
         ParOutcome::Complete(_) => panic!("pre-cancelled token must interrupt"),
     }
 }
+
+/// Counter `name` from a recorder's snapshot.
+fn counter(rec: &fairem_obs::Recorder, name: &str) -> Option<u64> {
+    rec.snapshot()
+        .counters
+        .into_iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+}
+
+#[test]
+fn par_map_isolated_pulls_one_item_per_chunk_and_keeps_index_order() {
+    // The ten-matcher fleet on two workers: every matcher is its own
+    // chunk, so two long ones never queue behind each other.
+    let rec = fairem_obs::Recorder::enabled();
+    let pool = WorkerPool::new(2).observe(rec.clone());
+    // Deliberately uneven costs: early items are the slow ones, so
+    // later items finish first.
+    let out = pool.par_map_isolated(10, |i| {
+        std::thread::sleep(std::time::Duration::from_millis(2 * (10 - i as u64)));
+        i * 10
+    });
+    let got: Vec<usize> = out
+        .into_iter()
+        .map(|r| r.expect("no panics injected"))
+        .collect();
+    assert_eq!(got, (0..10).map(|i| i * 10).collect::<Vec<_>>());
+    assert_eq!(counter(&rec, "par.chunks"), Some(10));
+    assert_eq!(counter(&rec, "par.items"), Some(10));
+
+    // The cancellable sibling chunks the same way.
+    let rec = fairem_obs::Recorder::enabled();
+    let pool = WorkerPool::new(2).observe(rec.clone());
+    match pool.par_map_isolated_within(10, &CancelToken::inert(), |i| i) {
+        ParOutcome::Complete(v) => assert_eq!(v.len(), 10),
+        other => panic!("untripped token must complete: {other:?}"),
+    }
+    assert_eq!(counter(&rec, "par.chunks"), Some(10));
+
+    // The data-parallel map keeps its coarse chunks: ceil(10 / (4·2)).
+    let rec = fairem_obs::Recorder::enabled();
+    let pool = WorkerPool::new(2).observe(rec.clone());
+    assert_eq!(pool.par_map(10, |i| i), (0..10).collect::<Vec<_>>());
+    assert_eq!(counter(&rec, "par.chunks"), Some(5));
+}

@@ -129,10 +129,11 @@ echo "KS disparity $ks_raw -> $ks_cal under per-group isotonic calibration"
 
 echo "== perf: columnar featurization gate (BENCH_baseline.json) =="
 # Sequential Citations featurization must beat the committed scalar
-# baseline by >=3x, and the 4-worker pool must be >=2x faster than
-# sequential on a ~1e5-pair batch (or, on a single-hardware-thread
-# host, cost at most 35% overhead). A regression that slows the
-# columnar hot path back down fails the gate here.
+# baseline by >=3x, and the 4-worker pool must reach 75% parallel
+# efficiency on a ~1e5-pair batch: speedup over sequential divided by
+# min(4, hardware threads), i.e. >=1.5x on 2 threads, >=3x on 4+. A
+# regression that slows the columnar hot path back down fails the
+# gate here.
 cargo run -q --release -p fairem-bench --bin bench_baseline -- --gate
 
 echo "== serve: storm + SIGINT drain (${TEST_TIMEOUT}s cap) =="
