@@ -1,8 +1,5 @@
-//! `bench_baseline` — the check gate's snapshot validator and perf leg,
-//! both measured through the `fairem-obs` recorder rather than an
-//! external profiler, so the numbers are exactly what `--metrics`
-//! reports in production. Benchmark runs themselves belong to
-//! `perfbench/`.
+//! `bench_baseline` — the check gate's snapshot validator and perf leg.
+//! Benchmark runs themselves belong to `perfbench/`.
 //!
 //! Two modes:
 //!
@@ -10,39 +7,35 @@
 //!   snapshot (as written by `fairem audit --metrics <path>`), print its
 //!   per-stage totals, and exit non-zero if it does not parse — the
 //!   check-gate leg that keeps the snapshot schema honest.
-//! - `bench_baseline --gate [<baseline path>]`: the performance gate.
-//!   Fails unless (a) sequential Citations featurization beats the
-//!   committed scalar baseline by ≥3×, and (b) on a generated ~10⁵-pair
-//!   batch a 4-worker pool reaches 75% parallel efficiency against
-//!   `min(4, available_parallelism)`. The scalar baseline is the
-//!   engine-less Citations run in `BENCH_baseline.json`.
+//! - `bench_baseline --gate`: the performance gate. Fails unless
+//!   (a) on one fixed Citations pair batch, timed sequentially in this
+//!   process, the columnar path (generator build plus `matrix`) beats
+//!   the scalar oracle (`matrix_pairs`) by ≥3× at the lower bound of a
+//!   bootstrap CI over interleaved trials, and (b) on a generated
+//!   ~10⁵-pair batch a 4-worker pool reaches 75% parallel efficiency
+//!   against `min(4, available_parallelism)`.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fairem_bench::{default_auditor, MATCHING_THRESHOLD};
-use fairem_core::fairness::{Disparity, FairnessMeasure};
+use fairem_bench::OrFail;
 use fairem_core::features::FeatureGenerator;
-use fairem_core::matcher::MatcherKind;
-use fairem_core::pipeline::{FairEm360, SuiteConfig};
-use fairem_core::prep::PrepConfig;
 use fairem_core::schema::Table;
-use fairem_core::sensitive::SensitiveAttr;
-use fairem_core::threshold::default_grid;
-use fairem_core::CalibrationSpec;
-use fairem_core::{Exec, PairBatch, ParOutcome, Parallelism, Recorder, Snapshot, WorkerPool};
+use fairem_core::{Exec, PairBatch, ParOutcome, WorkerPool};
 use fairem_csvio::Json;
 use fairem_datasets::{citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig};
-use fairem_bench::OrFail;
+use fairem_stats::{bootstrap_statistic, median};
 
-/// The CLI's default fleet — what `fairem audit` trains when no
-/// `--matchers` flag is given, so the baseline matches real runs.
-const MATCHERS: &[MatcherKind] = &[
-    MatcherKind::DtMatcher,
-    MatcherKind::RfMatcher,
-    MatcherKind::LinRegMatcher,
-];
+/// Pairs in the Citations leg's fixed batch.
+const CITATIONS_PAIRS: usize = 3_000;
+/// Interleaved trials of the Citations leg; each times both sides.
+const CITATIONS_TRIALS: usize = 9;
+/// The Citations leg's bar on the scalar ÷ columnar time ratio.
+const MIN_COLUMNAR_SPEEDUP: f64 = 3.0;
+/// Bootstrap replicates and seed for the ratio's confidence interval.
+const BOOTSTRAP_REPLICATES: usize = 2_000;
+const BOOTSTRAP_SEED: u64 = 0x6a7e;
 
 /// Workers in the pool leg of the gate.
 const POOL_WORKERS: usize = 4;
@@ -60,70 +53,12 @@ fn main() -> ExitCode {
             };
             validate(Path::new(path))
         }
-        Some("--gate") => {
-            let path = argv.get(1).map(String::as_str).unwrap_or("BENCH_baseline.json");
-            gate(Path::new(path))
-        }
+        Some("--gate") => gate(),
         _ => {
-            eprintln!("usage: bench_baseline --validate <path> | --gate [<baseline>]");
+            eprintln!("usage: bench_baseline --validate <path> | --gate");
             ExitCode::FAILURE
         }
     }
-}
-
-/// One full pipeline pass under a live recorder; returns the recorder
-/// snapshot (stage wall times via
-/// [`fairem_obs::Snapshot::stage_totals`]).
-fn run_once(dataset: &GeneratedDataset, jobs: usize) -> Snapshot {
-    let observe = Recorder::enabled();
-    let config = SuiteConfig {
-        prep: PrepConfig {
-            // Both benchmark datasets block on `title`.
-            blocking_columns: vec!["title".into()],
-            negative_ratio: 6.0,
-            train_frac: 0.55,
-            valid_frac: 0.05,
-            ..PrepConfig::default()
-        },
-        matching_threshold: MATCHING_THRESHOLD,
-        parallelism: Parallelism::Fixed(jobs),
-        observe: observe.clone(),
-        // Per-group calibration is a production stage since the
-        // `--calibrate` flag landed; bake it into the baseline so its
-        // `calib` span shows up in every measured run.
-        calibration: Some(CalibrationSpec::isotonic()),
-        ..SuiteConfig::default()
-    };
-    let sensitive: Vec<SensitiveAttr> = dataset
-        .sensitive
-        .iter()
-        .map(|c| SensitiveAttr::categorical(c.clone()))
-        .collect();
-    let session = FairEm360::builder()
-        .tables(dataset.table_a.clone(), dataset.table_b.clone())
-        .ground_truth(dataset.matches.clone())
-        .sensitive(sensitive)
-        .config(config)
-        .build()
-        .orfail("generated datasets are schema-valid")
-        .try_run(MATCHERS)
-        .orfail("baseline fleet trains");
-    let _ = session.audit_all(&default_auditor());
-    let grid = default_grid();
-    let groups = session.space.level1_of_attr(0);
-    for name in session.matcher_names() {
-        let _ = session.calibrated_audit(
-            name,
-            &[FairnessMeasure::AccuracyParity],
-            Disparity::Subtraction,
-            &grid,
-            &groups,
-        );
-    }
-    let _ = session
-        .ensemble(0, FairnessMeasure::AccuracyParity, Disparity::Subtraction)
-        .pareto_frontier();
-    observe.snapshot()
 }
 
 /// Parse a `fairem-obs/1` snapshot and print per-stage totals (root
@@ -184,23 +119,71 @@ fn validate(path: &Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The scalar-era (engine-less) Citations sequential `features` total
-/// from the committed baseline — the denominator the columnar hot path
-/// must beat by 3×.
-fn scalar_citations_features(path: &Path) -> Option<f64> {
-    let doc = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    let Some(Json::Arr(runs)) = doc.get("runs") else {
-        return None;
+/// A generated dataset's tables and the sensitive columns the
+/// featurizer leaves out.
+fn tables(d: &GeneratedDataset) -> (Table, Table, Vec<&str>) {
+    let a = Table::from_csv(d.table_a.clone()).orfail("generated table A is schema-valid");
+    let b = Table::from_csv(d.table_b.clone()).orfail("generated table B is schema-valid");
+    let exclude = d.sensitive.iter().map(String::as_str).collect();
+    (a, b, exclude)
+}
+
+/// The fixed pair batch `(i mod |A|, 31·i mod |B|)` over two tables.
+fn pair_batch(a: &Table, b: &Table, n: usize) -> Vec<(usize, usize)> {
+    (0..n).map(|i| (i % a.len(), (i * 31) % b.len())).collect()
+}
+
+fn complete<T>(outcome: ParOutcome<T>) -> T {
+    let ParOutcome::Complete(m) = outcome else {
+        // fairem: allow(panic) — bench harness uses an inert exec that cannot interrupt
+        unreachable!("inert exec must not interrupt")
     };
-    runs.iter()
-        .find(|r| {
-            r.get("engine").is_none()
-                && r.get("dataset").and_then(Json::as_str) == Some("Citations")
-                && r.get("jobs").and_then(Json::as_num) == Some(1.0)
-        })?
-        .get("stage_secs")?
-        .get("features")
-        .and_then(Json::as_num)
+    m
+}
+
+/// The Citations leg: per-trial ratio of the scalar oracle's time to
+/// the columnar path's, on one batch under `Exec::sequential()`. The
+/// columnar side is charged its generator build. The sides alternate
+/// which runs first, and every trial checks the two matrices agree to
+/// the bit.
+#[allow(deprecated)] // `matrix_pairs` is the scalar oracle this leg times
+fn citations_ratios() -> Vec<f64> {
+    let dataset = citations(&CitationsConfig::default());
+    let (a, b, exclude) = tables(&dataset);
+    let pairs = pair_batch(&a, &b, CITATIONS_PAIRS);
+    let scalar_gen = FeatureGenerator::build(&a, &b, &exclude);
+    let exec = Exec::sequential();
+    let mut ratios = Vec::with_capacity(CITATIONS_TRIALS);
+    for trial in 0..CITATIONS_TRIALS {
+        let scalar = || {
+            let start = Instant::now();
+            let m = scalar_gen.matrix_pairs(&a, &b, &pairs);
+            (m, start.elapsed().as_secs_f64())
+        };
+        let columnar = || {
+            let start = Instant::now();
+            let gen = FeatureGenerator::build(&a, &b, &exclude);
+            let m = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
+            (m, start.elapsed().as_secs_f64())
+        };
+        let ((ms, ts), (mc, tc)) = if trial % 2 == 0 {
+            let s = scalar();
+            (s, columnar())
+        } else {
+            let c = columnar();
+            (scalar(), c)
+        };
+        let same_bits = ms.rows() == mc.rows()
+            && ms.cols() == mc.cols()
+            && ms
+                .as_slice()
+                .iter()
+                .zip(mc.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same_bits, "columnar matrix diverged from the scalar oracle");
+        ratios.push(ts / tc);
+    }
+    ratios
 }
 
 /// Best-of-3 wall time for one full batch featurization under `workers`.
@@ -209,12 +192,8 @@ fn time_matrix(gen: &FeatureGenerator, pairs: &[(usize, usize)], workers: usize)
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        let outcome = gen.matrix(&PairBatch::new(pairs), &exec);
+        let m = complete(gen.matrix(&PairBatch::new(pairs), &exec));
         let secs = start.elapsed().as_secs_f64();
-        let ParOutcome::Complete(m) = outcome else {
-            // fairem: allow(panic) — bench harness uses an inert exec that cannot interrupt
-            unreachable!("inert exec must not interrupt")
-        };
         assert!(m.rows() == pairs.len(), "short matrix");
         best = best.min(secs);
     }
@@ -223,55 +202,44 @@ fn time_matrix(gen: &FeatureGenerator, pairs: &[(usize, usize)], workers: usize)
 
 /// The performance gate (check.sh's perf leg). Two assertions:
 ///
-/// 1. Sequential Citations featurization (the full pipeline `features`
-///    stage, build included) is ≥3× faster than the committed scalar
-///    baseline.
+/// 1. On a fixed 3000-pair Citations batch, sequentially, the lower
+///    bound of a seeded 95% bootstrap CI of the median per-trial
+///    scalar ÷ columnar time ratio is ≥3× (see [`citations_ratios`]).
 /// 2. On a generated ~10⁵-pair batch, a 4-worker pool reaches a
 ///    parallel efficiency of at least [`MIN_POOL_EFFICIENCY`]: its
 ///    speedup over sequential, divided by the most the host allows,
 ///    `min(4, available_parallelism)`. That is ≥1.5× on two hardware
 ///    threads, ≥3× on four or more, and on one hardware thread a pool
 ///    overhead of at most 1/0.75 − 1 ≈ 33%.
-fn gate(baseline_path: &Path) -> ExitCode {
+fn gate() -> ExitCode {
     let mut ok = true;
 
-    // Leg 1: columnar vs committed scalar baseline, sequentially.
-    let Some(scalar) = scalar_citations_features(baseline_path) else {
-        eprintln!(
-            "gate: {} has no scalar Citations jobs=1 run (engine-less, schema 1 heritage)",
-            baseline_path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let dataset = citations(&CitationsConfig::default());
-    eprintln!("gate: measuring Citations sequential features...");
-    let stages = run_once(&dataset, 1).stage_totals();
-    let Some(features) = stages
-        .iter()
-        .find(|(n, _)| n == "features")
-        .map(|(_, s)| *s)
-    else {
-        eprintln!("gate: pipeline run recorded no `features` stage");
-        return ExitCode::FAILURE;
-    };
-    let speedup = scalar / features;
-    println!(
-        "gate: Citations seq features {features:.4}s vs scalar {scalar:.4}s -> {speedup:.2}x (need 3.00x)"
+    // Leg 1: columnar vs the scalar oracle, paired in this process.
+    eprintln!(
+        "gate: timing {CITATIONS_PAIRS} Citations pairs, scalar vs columnar, {CITATIONS_TRIALS} trials..."
     );
-    if speedup < 3.0 {
-        eprintln!("gate: FAIL — sequential featurization regressed below the 3x bar");
+    let ratios = citations_ratios();
+    let ci = bootstrap_statistic(&ratios, BOOTSTRAP_REPLICATES, 0.95, BOOTSTRAP_SEED, |r, idx| {
+        median(&idx.iter().map(|&i| r[i]).collect::<Vec<f64>>())
+    });
+    println!(
+        "gate: Citations scalar/columnar median {:.2}x, 95% CI [{:.2}, {:.2}] over {} trials \
+         (need lower bound {MIN_COLUMNAR_SPEEDUP:.2}x)",
+        ci.estimate,
+        ci.lo,
+        ci.hi,
+        ratios.len()
+    );
+    if ci.lo < MIN_COLUMNAR_SPEEDUP {
+        eprintln!("gate: FAIL — sequential columnar featurization below the 3x bar");
         ok = false;
     }
 
     // Leg 2: sequential vs pooled on a ~1e5-pair generated batch.
     let d = wdc_products(&ProductsConfig::default());
-    let a = Table::from_csv(d.table_a.clone()).orfail("generated table A is schema-valid");
-    let b = Table::from_csv(d.table_b.clone()).orfail("generated table B is schema-valid");
-    let exclude: Vec<&str> = d.sensitive.iter().map(String::as_str).collect();
+    let (a, b, exclude) = tables(&d);
     let generator = FeatureGenerator::build(&a, &b, &exclude);
-    let pairs: Vec<(usize, usize)> = (0..100_000)
-        .map(|i| (i % a.len(), (i * 31) % b.len()))
-        .collect();
+    let pairs = pair_batch(&a, &b, 100_000);
     eprintln!(
         "gate: measuring {} pairs, sequential vs {POOL_WORKERS} workers...",
         pairs.len()

@@ -2,7 +2,7 @@
 //! JSON codec.
 //!
 //! Report rendering *produces* JSON (machine-readable audit artifacts,
-//! snapshots, checkpoints, lint reports and the lint cache); the parser
+//! snapshots, checkpoints and lint reports); the parser
 //! ([`Json::parse`]) reads those back, including bytes from outside the
 //! process, so it is strict and bounded: nesting past [`MAX_DEPTH`] is
 //! an error rather than a stack overflow, and `\u` escapes must form

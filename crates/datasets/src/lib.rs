@@ -36,3 +36,32 @@ pub use faculty::{faculty_match, FacultyConfig};
 pub use noflycompas::{nofly_compas, NoFlyConfig};
 pub use products::{wdc_products, ProductsConfig};
 pub use stream::{ScaleConfig, ScaleDataset};
+
+/// The in-memory generators [`generate`] knows, by name.
+pub const GENERATORS: [&str; 4] = ["faculty", "products", "citations", "noflycompas"];
+
+/// Run the generator named `name` (one of [`GENERATORS`]) at `seed`;
+/// seed 0 keeps the generator's default seed. `None` for any other
+/// name.
+pub fn generate(name: &str, seed: u64) -> Option<GeneratedDataset> {
+    let seeded = |default: u64| if seed == 0 { default } else { seed };
+    Some(match name {
+        "faculty" => {
+            let d = FacultyConfig::default();
+            faculty_match(&FacultyConfig { seed: seeded(d.seed), ..d })
+        }
+        "products" => {
+            let d = ProductsConfig::default();
+            wdc_products(&ProductsConfig { seed: seeded(d.seed), ..d })
+        }
+        "citations" => {
+            let d = CitationsConfig::default();
+            citations(&CitationsConfig { seed: seeded(d.seed), ..d })
+        }
+        "noflycompas" => {
+            let d = NoFlyConfig::default();
+            nofly_compas(&NoFlyConfig { seed: seeded(d.seed), ..d })
+        }
+        _ => return None,
+    })
+}

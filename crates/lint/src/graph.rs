@@ -6,10 +6,7 @@
 //! against the registry in `crates/obs`, an enum in `crates/core`
 //! against a match in `src/cli.rs`, lock fields in one impl against
 //! acquisition order in another). They run after the per-file pass,
-//! on [`ItemIndex`]es that may have come from the incremental cache —
-//! which is why they are **recomputed on every run**: a cached file's
-//! items are current, but the cross-file conclusions drawn from them
-//! depend on every other file in the walk.
+//! on the [`ItemIndex`] of every file in the walk.
 //!
 //! Partial walks degrade conservatively: checks that need the whole
 //! workspace in view (registry exhaustiveness, the missing-mapping

@@ -10,9 +10,7 @@
 //! declarations, `Upper::Upper` path references, and `_ =>` wildcard
 //! arms — and nothing more. Everything works on the masked
 //! projections, so a `fn` inside a doc comment or a metric name inside
-//! a test string can never confuse it. Because the index is plain
-//! data, it serializes into the incremental cache and global rules run
-//! against cached indexes without re-reading unchanged files.
+//! a test string can never confuse it.
 
 use crate::source::SourceFile;
 

@@ -11,7 +11,7 @@
 //! two layers:
 //!
 //! **Per-file** (token-stream over the [`lexer`], independent per
-//! file and therefore cacheable):
+//! file):
 //!
 //! - [`lexer`] — a minimal Rust lexer so findings never fire inside
 //!   comments or string/char literals (the reason grep cannot do
@@ -25,8 +25,7 @@
 //! - [`deps`] — the `hermetic_deps` Cargo.toml walker.
 //!
 //! **Cross-file** (over the [`items::ItemIndex`] extracted from every
-//! file, recomputed each run because one changed file can change any
-//! global conclusion):
+//! file):
 //!
 //! - [`items`] — the per-file item graph: functions, lock-holding
 //!   struct fields, lock-acquisition order edges, metric-recorder
@@ -41,18 +40,15 @@
 //!   suppresses zero findings is itself a finding, so the exemption
 //!   inventory cannot rot.
 //!
-//! The [`driver`] engine runs the per-file pass in parallel over the
-//! `fairem-par` [`WorkerPool`](fairem_par::WorkerPool) with
-//! chunk-stitched deterministic output, replays unchanged files from
-//! an FNV-1a–keyed incremental cache ([`cache`]), and reports
-//! `lint.files_{analyzed,cached}` through `fairem-obs`. Findings are
-//! bit-identical across `FAIREM_JOBS` settings and cold/warm cache
-//! runs. The binary prints `file:line rule message` (or
-//! `--format json`, schema `fairem-lint/2`, written and validated with
-//! the workspace's one JSON codec, [`fairem_csvio::Json`], which also
-//! reads the cache) and exits nonzero when any finding survives.
+//! The [`driver`] engine analyzes every file on every run, in
+//! parallel over the `fairem-par`
+//! [`WorkerPool`](fairem_par::WorkerPool) with chunk-stitched
+//! deterministic output. Findings are bit-identical across
+//! `FAIREM_JOBS` settings. The binary prints `file:line rule message`
+//! (or `--format json`, schema `fairem-lint/3`, written and validated
+//! with the workspace's one JSON codec, [`fairem_csvio::Json`]) and
+//! exits nonzero when any finding survives.
 
-pub mod cache;
 pub mod deps;
 pub mod driver;
 pub mod graph;
@@ -62,7 +58,6 @@ pub mod rules;
 pub mod source;
 
 pub use driver::{
-    diff_expected, lint, lint_with, render_json, rule_names, validate_report_json, LintOptions,
-    LintReport,
+    diff_expected, lint, lint_with, render_json, rule_names, validate_report_json, LintReport,
 };
 pub use rules::Finding;

@@ -94,10 +94,6 @@ pub const SERVE_CALIB_CACHE_HIT: &str = "serve.calib.cache_hit";
 pub const SERVE_CALIB_CACHE_MISS: &str = "serve.calib.cache_miss";
 /// In-flight requests severed by the drain deadline.
 pub const SERVE_DRAIN_FORCED_CUTS: &str = "serve.drain.forced_cuts";
-/// Source files fully analyzed by fairem-lint (cache misses).
-pub const LINT_FILES_ANALYZED: &str = "lint.files_analyzed";
-/// Source files served from the fairem-lint incremental cache.
-pub const LINT_FILES_CACHED: &str = "lint.files_cached";
 
 // ---- gauges ---------------------------------------------------------
 
@@ -156,8 +152,6 @@ pub const ALL: &[&str] = &[
     SPAN_IMPORT,
     IMPORT_QUARANTINED,
     IMPORT_ROWS,
-    LINT_FILES_ANALYZED,
-    LINT_FILES_CACHED,
     MEM_PEAK_BYTES,
     MEM_STAGE_PEAK_SCORE,
     MEM_STAGE_PEAK_TRAIN,

@@ -1,8 +1,8 @@
 //! # fairem-par
 //!
 //! A from-scratch, std-only parallel execution engine for the suite:
-//! a fixed-size [`WorkerPool`] with chunked [`WorkerPool::par_map`] /
-//! [`WorkerPool::par_for_each`] over index ranges, deterministic result
+//! a fixed-size [`WorkerPool`] with chunked [`WorkerPool::par_map`]
+//! over index ranges, deterministic result
 //! ordering (output is identical to sequential execution, bit for bit,
 //! regardless of worker count), and panic capture that integrates with
 //! the suite's degraded-mode error taxonomy.

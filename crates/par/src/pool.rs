@@ -8,7 +8,7 @@
 //! so the assembled result is **bit-for-bit identical** to a sequential
 //! run no matter how many workers raced or how chunks interleaved.
 //! The data-parallel maps cut about four chunks per worker; the
-//! isolated maps, whose items are whole matchers, make every item its
+//! isolated map, whose items are whole matchers, makes every item its
 //! own chunk.
 //!
 //! Worker threads are scoped to the parallel region (fork-join): the
@@ -177,7 +177,7 @@ impl WorkerPool {
     /// The chunk size [`WorkerPool::par_map`] and its siblings use for
     /// `n` items: roughly four chunks per worker, so stragglers
     /// rebalance without drowning the scheduler in tiny chunks. The
-    /// isolated maps do not use it: their items are whole matchers, and
+    /// isolated map does not use it: its items are whole matchers, and
     /// each is its own chunk.
     fn chunk_for(&self, n: usize) -> usize {
         n.div_ceil(self.workers * 4).max(1)
@@ -325,33 +325,19 @@ impl WorkerPool {
     /// # Panics
     /// If `f` panics for any index.
     pub fn par_map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        match self.try_par_map(n, f) {
-            Ok(out) => out,
-            // fairem: allow(panic) — documented # Panics contract: re-raises a worker panic
-            Err(p) => panic!("{}", p.detail),
-        }
-    }
-
-    /// Like [`WorkerPool::par_map`], but a contained chunk panic is
-    /// returned as a [`ChunkPanic`] (the first failing chunk in chunk
-    /// order) instead of unwinding — the shape stage-level callers need
-    /// to convert into the suite's error taxonomy.
-    pub fn try_par_map<T: Send>(
-        &self,
-        n: usize,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Result<Vec<T>, ChunkPanic> {
         let f = &f;
         let chunks = self.run_chunks(n, self.chunk_for(n), move |range| {
-            let r = range.clone();
-            contain(move || r.map(f).collect::<Vec<T>>())
-                .map_err(|detail| ChunkPanic { range, detail })
+            contain(move || range.map(f).collect::<Vec<T>>())
         });
         let mut out = Vec::with_capacity(n);
         for c in chunks {
-            out.extend(c?);
+            match c {
+                Ok(items) => out.extend(items),
+                // fairem: allow(panic) — documented # Panics contract: re-raises a worker panic
+                Err(detail) => panic!("{detail}"),
+            }
         }
-        Ok(out)
+        out
     }
 
     /// Parallel map with **per-item** panic isolation: every index gets
@@ -376,15 +362,6 @@ impl WorkerPool {
         .collect()
     }
 
-    /// Chunked parallel loop over `0..n` for side-effecting work whose
-    /// outputs live elsewhere (e.g. thread-safe accumulators).
-    ///
-    /// # Panics
-    /// If `f` panics for any index (first chunk in chunk order wins).
-    pub fn par_for_each(&self, n: usize, f: impl Fn(usize) + Sync) {
-        self.par_map(n, f);
-    }
-
     /// Cancellable [`WorkerPool::par_map`]: workers stop pulling chunks
     /// once `token` trips, and the outcome carries the contiguous
     /// prefix of results plus progress accounting. With an untripped
@@ -398,25 +375,12 @@ impl WorkerPool {
         token: &CancelToken,
         f: impl Fn(usize) -> T + Sync,
     ) -> ParOutcome<Vec<T>> {
-        match self.try_par_map_within(n, token, f) {
+        let f = &f;
+        match self.try_par_scratch_within(n, token, || (), move |(), i| f(i)) {
             Ok(out) => out,
             // fairem: allow(panic) — documented # Panics contract: re-raises a worker panic
             Err(p) => panic!("{}", p.detail),
         }
-    }
-
-    /// Cancellable [`WorkerPool::try_par_map`]. A contained chunk panic
-    /// takes precedence over an interruption: if any chunk that ran
-    /// panicked, the first such chunk (in chunk order) is returned as
-    /// the error even when the token also tripped.
-    pub fn try_par_map_within<T: Send>(
-        &self,
-        n: usize,
-        token: &CancelToken,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Result<ParOutcome<Vec<T>>, ChunkPanic> {
-        let f = &f;
-        self.try_par_scratch_within(n, token, || (), move |(), i| f(i))
     }
 
     /// Cancellable chunked map with **per-chunk scratch state**: `init`
@@ -430,8 +394,12 @@ impl WorkerPool {
     /// worker) and `f` must leave no observable state in the scratch
     /// that affects later items beyond what a freshly-`init`ed scratch
     /// would, the stitched output is bit-for-bit identical for every
-    /// worker count and chunk size. Panics and interrupts behave
-    /// exactly as in [`WorkerPool::try_par_map_within`].
+    /// worker count and chunk size.
+    ///
+    /// A contained chunk panic is returned as a [`ChunkPanic`] instead
+    /// of unwinding, and it takes precedence over an interruption: if
+    /// any chunk that ran panicked, the first such chunk (in chunk
+    /// order) is the error even when the token also tripped.
     pub fn try_par_scratch_within<S, T: Send>(
         &self,
         n: usize,
@@ -455,22 +423,6 @@ impl WorkerPool {
             tagged.push((c, r?));
         }
         Ok(WorkerPool::assemble(Harvest { tagged, n_chunks }, n, token))
-    }
-
-    /// Cancellable [`WorkerPool::par_map_isolated`]: per-item panic
-    /// isolation plus cooperative cancellation between items, each its
-    /// own chunk. Panicked items are `Err` entries in the outcome (they
-    /// count as completed — the item *ran*, it just failed).
-    pub fn par_map_isolated_within<T: Send>(
-        &self,
-        n: usize,
-        token: &CancelToken,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> ParOutcome<Vec<Result<T, String>>> {
-        let h = self.harvest(n, 1, Some(token), |range| {
-            range.map(|i| contain(|| f(i))).collect::<Vec<_>>()
-        });
-        WorkerPool::assemble(h, n, token)
     }
 }
 
@@ -503,22 +455,7 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let pool = WorkerPool::new(4);
         assert!(pool.par_map(0, |i| i).is_empty());
-        assert_eq!(pool.try_par_map(0, |i| i), Ok(Vec::new()));
         assert!(pool.par_map_isolated(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn try_par_map_attributes_the_panicking_chunk() {
-        let pool = WorkerPool::new(4);
-        let err = pool
-            .try_par_map(100, |i| {
-                assert!(i != 57, "item 57 is cursed");
-                i
-            })
-            .expect_err("must fail");
-        assert!(err.range.contains(&57), "{:?}", err.range);
-        assert!(err.detail.contains("cursed"), "{}", err.detail);
-        assert!(err.to_string().contains("panicked"));
     }
 
     #[test]
@@ -546,16 +483,6 @@ mod tests {
     fn par_map_repanics_after_joining() {
         let pool = WorkerPool::new(2);
         let _ = pool.par_map(20, |i| assert!(i != 5, "item 5 detonated"));
-    }
-
-    #[test]
-    fn par_for_each_runs_every_index_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        let pool = WorkerPool::new(4);
-        pool.par_for_each(hits.len(), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -632,40 +559,26 @@ mod tests {
     }
 
     #[test]
-    fn panic_wins_over_interruption_in_try_par_map_within() {
+    fn panic_wins_over_interruption_in_try_par_scratch_within() {
         use crate::cancel::CancelToken;
         let pool = WorkerPool::new(1);
         let token = CancelToken::inert();
         let err = pool
-            .try_par_map_within(1000, &token, |i| {
-                if i == 10 {
-                    token.cancel();
-                }
-                assert!(i != 5, "item 5 is cursed");
-                i
-            })
+            .try_par_scratch_within(
+                1000,
+                &token,
+                || (),
+                |(), i| {
+                    if i == 10 {
+                        token.cancel();
+                    }
+                    assert!(i != 5, "item 5 is cursed");
+                    i
+                },
+            )
             .expect_err("chunk panic must surface");
         assert!(err.range.contains(&5), "{:?}", err.range);
         assert!(err.detail.contains("cursed"));
-    }
-
-    #[test]
-    fn isolated_within_keeps_per_item_attribution_under_cancellation() {
-        use crate::cancel::{Budget, CancelToken};
-        let pool = WorkerPool::new(4);
-        let token = CancelToken::with_budget(Budget::UNLIMITED);
-        let outcome = pool.par_map_isolated_within(10, &token, |i| {
-            assert!(i != 3, "injected: item 3 dies");
-            i * 2
-        });
-        match outcome {
-            ParOutcome::Complete(out) => {
-                assert_eq!(out.len(), 10);
-                assert!(out[3].is_err());
-                assert_eq!(out[7].as_ref().copied(), Ok(14));
-            }
-            other => panic!("untripped token must complete: {other:?}"),
-        }
     }
 
     #[test]
@@ -752,6 +665,8 @@ mod tests {
             )
             .expect_err("must fail");
         assert!(err.range.contains(&57), "{:?}", err.range);
+        assert!(err.detail.contains("cursed"), "{}", err.detail);
+        assert!(err.to_string().contains("panicked"));
 
         let token = CancelToken::inert();
         token.cancel();

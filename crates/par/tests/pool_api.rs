@@ -1,6 +1,7 @@
 //! Direct tests of the public pool API as an external consumer —
-//! previously `par_map_isolated` attribution and `par_for_each` were
-//! only exercised indirectly through the suite.
+//! previously `par_map_isolated` attribution and the maps' panic and
+//! cancellation contracts were only exercised indirectly through the
+//! suite.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -40,11 +41,11 @@ fn par_map_isolated_with_no_failures_is_all_ok() {
 }
 
 #[test]
-fn par_for_each_visits_every_index_exactly_once_per_worker_count() {
+fn par_map_visits_every_index_exactly_once_per_worker_count() {
     for workers in [1, 3, 4, 7] {
         let hits: Vec<AtomicUsize> = (0..501).map(|_| AtomicUsize::new(0)).collect();
         let pool = WorkerPool::new(workers);
-        pool.par_for_each(hits.len(), |i| {
+        pool.par_map(hits.len(), |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -55,9 +56,11 @@ fn par_for_each_visits_every_index_exactly_once_per_worker_count() {
 
 #[test]
 #[should_panic(expected = "item 9 detonated")]
-fn par_for_each_surfaces_a_worker_panic() {
+fn par_map_within_surfaces_a_worker_panic() {
     let pool = WorkerPool::new(4);
-    pool.par_for_each(100, |i| assert!(i != 9, "item 9 detonated"));
+    let _ = pool.par_map_within(100, &CancelToken::inert(), |i| {
+        assert!(i != 9, "item 9 detonated")
+    });
 }
 
 #[test]
@@ -132,7 +135,7 @@ fn cancellable_map_accounts_partial_progress() {
     let pool = WorkerPool::new(4);
     let token = CancelToken::with_budget(Budget::UNLIMITED);
     token.cancel();
-    match pool.par_map_isolated_within(100, &token, |i| i) {
+    match pool.par_map_within(100, &token, |i| i) {
         ParOutcome::Interrupted {
             done,
             completed,
@@ -175,15 +178,6 @@ fn par_map_isolated_pulls_one_item_per_chunk_and_keeps_index_order() {
     assert_eq!(got, (0..10).map(|i| i * 10).collect::<Vec<_>>());
     assert_eq!(counter(&rec, "par.chunks"), Some(10));
     assert_eq!(counter(&rec, "par.items"), Some(10));
-
-    // The cancellable sibling chunks the same way.
-    let rec = fairem_obs::Recorder::enabled();
-    let pool = WorkerPool::new(2).observe(rec.clone());
-    match pool.par_map_isolated_within(10, &CancelToken::inert(), |i| i) {
-        ParOutcome::Complete(v) => assert_eq!(v.len(), 10),
-        other => panic!("untripped token must complete: {other:?}"),
-    }
-    assert_eq!(counter(&rec, "par.chunks"), Some(10));
 
     // The data-parallel map keeps its coarse chunks: ceil(10 / (4·2)).
     let rec = fairem_obs::Recorder::enabled();

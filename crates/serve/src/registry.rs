@@ -23,10 +23,7 @@ use fairem_core::matcher::MatcherKind;
 use fairem_core::pipeline::{FairEm360, Session, SuiteConfig};
 use fairem_core::sensitive::{GroupId, SensitiveAttr};
 use fairem_core::{CalibrationSpec, GroupCalibrator, SuiteError};
-use fairem_datasets::{
-    citations, faculty_match, nofly_compas, wdc_products, CitationsConfig, FacultyConfig,
-    GeneratedDataset, NoFlyConfig, ProductsConfig,
-};
+use fairem_datasets::GENERATORS;
 use fairem_obs::Recorder;
 use fairem_par::{CancelToken, Parallelism};
 
@@ -65,9 +62,10 @@ impl SessionSpec {
         threshold: f64,
         shards: usize,
     ) -> Result<SessionSpec, String> {
-        if !matches!(dataset, "faculty" | "products" | "citations" | "noflycompas") {
+        if !GENERATORS.contains(&dataset) {
             return Err(format!(
-                "unknown dataset {dataset:?} (expected faculty|products|citations|noflycompas)"
+                "unknown dataset {dataset:?} (expected {})",
+                GENERATORS.join("|")
             ));
         }
         if shards == 0 {
@@ -105,40 +103,6 @@ impl SessionSpec {
             self.threshold,
             self.shards
         )
-    }
-
-    fn generate(&self) -> GeneratedDataset {
-        match self.dataset.as_str() {
-            "products" => {
-                let mut cfg = ProductsConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                wdc_products(&cfg)
-            }
-            "citations" => {
-                let mut cfg = CitationsConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                citations(&cfg)
-            }
-            "noflycompas" => {
-                let mut cfg = NoFlyConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                nofly_compas(&cfg)
-            }
-            // `resolve` pinned the name set; anything else is faculty.
-            _ => {
-                let mut cfg = FacultyConfig::default();
-                if self.seed != 0 {
-                    cfg.seed = self.seed;
-                }
-                faculty_match(&cfg)
-            }
-        }
     }
 }
 
@@ -321,7 +285,11 @@ fn build_session(
     observe: &Recorder,
     checkpoint_root: Option<&std::path::Path>,
 ) -> Result<Session, SuiteError> {
-    let data = spec.generate();
+    let data = fairem_datasets::generate(&spec.dataset, spec.seed).ok_or_else(|| {
+        SuiteError::Config {
+            detail: format!("unknown dataset {:?}", spec.dataset),
+        }
+    })?;
     let sensitive: Vec<SensitiveAttr> = data
         .sensitive
         .iter()
@@ -503,7 +471,7 @@ mod tests {
         let reg = SessionRegistry::new(4);
         let token = CancelToken::with_budget(Budget::UNLIMITED);
         let rec = Recorder::disabled();
-        for dataset in ["faculty", "products", "citations", "noflycompas"] {
+        for dataset in GENERATORS {
             let spec = SessionSpec::resolve(dataset, 0, &[], 0.5, 1).expect("valid spec");
             let (entry, _) = reg
                 .get_or_build(&spec, Parallelism::Fixed(1), &token, &rec)
@@ -511,6 +479,6 @@ mod tests {
             assert!(entry.session.test_size() > 0, "{dataset}: empty test split");
             assert!(!entry.session.matcher_names().is_empty(), "{dataset}");
         }
-        assert_eq!(reg.len(), 4);
+        assert_eq!(reg.len(), GENERATORS.len());
     }
 }

@@ -50,30 +50,19 @@ FAIREM_JOBS=4 run_tests cargo test -q --workspace
 echo "== lints: clippy, warnings denied, unwrap()/expect() banned outside tests =="
 cargo clippy --workspace -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
-echo "== lints: fairem-lint v2, workspace contracts (DESIGN.md §9) =="
+echo "== lints: fairem-lint, workspace contracts (DESIGN.md §9) =="
 # Three promises checked here: (a) the workspace is clean under the
 # full rule catalog and every seeded fixture violation still fires
 # exactly as the manifest records — a linter that silently goes blind
 # fails the gate just like a dirty workspace does; (b) the emitted
-# fairem-lint/2 JSON validates; (c) the incremental cache is sound — a
-# warm run must replay files (files_cached > 0) and produce findings
-# bit-identical to the cold run even under a different jobs policy.
+# fairem-lint/3 JSON validates; (c) the parallel per-file pass is
+# deterministic — the jobs=1 and jobs=4 reports are byte-identical.
 LINT_DIR="$(mktemp -d)"
-cargo run -q -p fairem-lint -- \
-  --jobs 4 --cache "$LINT_DIR/cache" --format json > "$LINT_DIR/cold.json"
-cargo run -q -p fairem-lint -- --validate-json "$LINT_DIR/cold.json"
-cargo run -q -p fairem-lint -- \
-  --jobs 1 --cache "$LINT_DIR/cache" --format json > "$LINT_DIR/warm.json"
-case "$(grep -o '"files_cached":[0-9]*' "$LINT_DIR/warm.json")" in
-  '"files_cached":0'|'')
-    echo "check.sh: FAIL — warm lint run replayed nothing from the cache" >&2
-    exit 1 ;;
-esac
-# files_{analyzed,cached} legitimately differ between the runs; the
-# findings array must not.
-normalize_lint() { sed 's/"files_analyzed":[0-9]*/_/; s/"files_cached":[0-9]*/_/' "$1"; }
-if ! diff <(normalize_lint "$LINT_DIR/cold.json") <(normalize_lint "$LINT_DIR/warm.json"); then
-  echo "check.sh: FAIL — cold and warm lint findings diverged" >&2
+cargo run -q -p fairem-lint -- --jobs 4 --format json > "$LINT_DIR/jobs4.json"
+cargo run -q -p fairem-lint -- --validate-json "$LINT_DIR/jobs4.json"
+cargo run -q -p fairem-lint -- --jobs 1 --format json > "$LINT_DIR/jobs1.json"
+if ! diff "$LINT_DIR/jobs4.json" "$LINT_DIR/jobs1.json"; then
+  echo "check.sh: FAIL — jobs=1 and jobs=4 lint reports diverged" >&2
   exit 1
 fi
 rm -rf "$LINT_DIR"
@@ -127,13 +116,14 @@ if ! grep -q "KS disparity: raw" "$OBS_DIR/calib.txt"; then
 fi
 echo "KS disparity $ks_raw -> $ks_cal under per-group isotonic calibration"
 
-echo "== perf: columnar featurization gate (BENCH_baseline.json) =="
-# Sequential Citations featurization must beat the committed scalar
-# baseline by >=3x, and the 4-worker pool must reach 75% parallel
-# efficiency on a ~1e5-pair batch: speedup over sequential divided by
-# min(4, hardware threads), i.e. >=1.5x on 2 threads, >=3x on 4+. A
-# regression that slows the columnar hot path back down fails the
-# gate here.
+echo "== perf: columnar featurization gate =="
+# On one fixed Citations batch, sequentially, the columnar path (its
+# generator build included) must beat the scalar oracle by >=3x at the
+# lower bound of a 95% bootstrap CI over interleaved in-process trials;
+# and the 4-worker pool must reach 75% parallel efficiency on a
+# ~1e5-pair batch: speedup over sequential divided by min(4, hardware
+# threads), i.e. >=1.5x on 2 threads, >=3x on 4+. A regression that
+# slows the columnar hot path back down fails the gate here.
 cargo run -q --release -p fairem-bench --bin bench_baseline -- --gate
 
 echo "== serve: storm + SIGINT drain (${TEST_TIMEOUT}s cap) =="

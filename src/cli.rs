@@ -20,10 +20,7 @@ use fairem_core::report::{audit_json, audit_text, calibrated_audit_json, calibra
 use fairem_core::sensitive::SensitiveAttr;
 use fairem_core::{Budget, CancelToken, MemBudget, Parallelism, SuiteError};
 use fairem_csvio::{read_csv_file, write_csv_file, write_csv_stream, CsvTable, Json};
-use fairem_datasets::{
-    citations, faculty_match, nofly_compas, wdc_products, CitationsConfig, FacultyConfig,
-    GeneratedDataset, NoFlyConfig, ProductsConfig, ScaleConfig, ScaleDataset,
-};
+use fairem_datasets::{ScaleConfig, ScaleDataset};
 
 /// Process exit code: clean success.
 pub const EXIT_OK: i32 = 0;
@@ -502,37 +499,8 @@ fn cmd_generate(args: &Args) -> Result<CliOutput, CliError> {
     if name == "scale" {
         return cmd_generate_scale(args, &out, seed);
     }
-    let dataset: GeneratedDataset = match name {
-        "faculty" => {
-            let mut cfg = FacultyConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            faculty_match(&cfg)
-        }
-        "noflycompas" => {
-            let mut cfg = NoFlyConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            nofly_compas(&cfg)
-        }
-        "products" => {
-            let mut cfg = ProductsConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            wdc_products(&cfg)
-        }
-        "citations" => {
-            let mut cfg = CitationsConfig::default();
-            if seed != 0 {
-                cfg.seed = seed;
-            }
-            citations(&cfg)
-        }
-        other => return Err(err(format!("unknown dataset {other:?}"))),
-    };
+    let dataset = fairem_datasets::generate(name, seed)
+        .ok_or_else(|| err(format!("unknown dataset {name:?}")))?;
     std::fs::create_dir_all(&out).map_err(|e| data_err(format!("cannot create {out:?}: {e}")))?;
     let write = |name: &str, table: &CsvTable| -> Result<(), CliError> {
         let path = out.join(name);
