@@ -151,7 +151,7 @@ fn citations_ratios() -> Vec<f64> {
     let dataset = citations(&CitationsConfig::default());
     let (a, b, exclude) = tables(&dataset);
     let pairs = pair_batch(&a, &b, CITATIONS_PAIRS);
-    let scalar_gen = FeatureGenerator::build(&a, &b, &exclude);
+    let scalar_gen = FeatureGenerator::build(&a, &b, &exclude, &Exec::sequential());
     let exec = Exec::sequential();
     let mut ratios = Vec::with_capacity(CITATIONS_TRIALS);
     for trial in 0..CITATIONS_TRIALS {
@@ -162,7 +162,7 @@ fn citations_ratios() -> Vec<f64> {
         };
         let columnar = || {
             let start = Instant::now();
-            let gen = FeatureGenerator::build(&a, &b, &exclude);
+            let gen = FeatureGenerator::build(&a, &b, &exclude, &exec);
             let m = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
             (m, start.elapsed().as_secs_f64())
         };
@@ -238,7 +238,7 @@ fn gate() -> ExitCode {
     // Leg 2: sequential vs pooled on a ~1e5-pair generated batch.
     let d = wdc_products(&ProductsConfig::default());
     let (a, b, exclude) = tables(&d);
-    let generator = FeatureGenerator::build(&a, &b, &exclude);
+    let generator = FeatureGenerator::build(&a, &b, &exclude, &Exec::sequential());
     let pairs = pair_batch(&a, &b, 100_000);
     eprintln!(
         "gate: measuring {} pairs, sequential vs {POOL_WORKERS} workers...",

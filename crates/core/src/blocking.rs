@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use fairem_text::{word_tokens, TokenInterner};
+use fairem_text::{for_each_word_token, TokenInterner};
 
 use crate::exec::Exec;
 use crate::schema::Table;
@@ -102,10 +102,11 @@ fn index_side(t: &Table, columns: &[&str], interner: &mut TokenInterner) -> Vec<
     // Per-row token dedup via a stamp array over token ids (`row + 1`
     // marks "seen in this row"; 0 is never a stamp).
     let mut stamp: Vec<u32> = vec![0; interner.len()];
+    let mut tok = String::new();
     for row in 0..t.len() {
         for &c in &cols {
-            for tok in word_tokens(t.value(row, c)) {
-                let id = interner.intern(&tok) as usize;
+            for_each_word_token(t.value(row, c), &mut tok, |tok| {
+                let id = interner.intern(tok) as usize;
                 if rows_of.len() <= id {
                     rows_of.resize(id + 1, Vec::new());
                     stamp.resize(id + 1, 0);
@@ -114,7 +115,7 @@ fn index_side(t: &Table, columns: &[&str], interner: &mut TokenInterner) -> Vec<
                     stamp[id] = row as u32 + 1;
                     rows_of[id].push(row as u32);
                 }
-            }
+            });
         }
     }
     rows_of
@@ -259,6 +260,7 @@ mod tests {
     use super::*;
     use fairem_csvio::parse_csv_str;
     use fairem_par::WorkerPool;
+    use fairem_text::word_tokens;
 
     /// The pre-interning string-keyed formulation, kept as the
     /// reference the kernel must reproduce exactly.

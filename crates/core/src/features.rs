@@ -12,7 +12,12 @@
 //! every aligned column exactly once, interning tokens to dense `u32`
 //! ids ([`TokenInterner`]) and storing each column as a
 //! struct-of-arrays [`PreparedColumn`] (normalized chars, word-token
-//! ids, q-gram sets, TF-IDF weight vectors). The batch entry point
+//! ids, q-gram sets, TF-IDF weight vectors). The build runs on the
+//! run's pool: each column side is cut into fixed-length row chunks,
+//! each chunk is prepared against its own interner, and the chunk
+//! vocabularies are absorbed in (column, side, chunk) order
+//! ([`prepare_chunked`]), so every token id is the one a single
+//! sequential pass assigns, for any worker count. The batch entry point
 //! [`FeatureGenerator::matrix`] then runs integer-slice kernels with
 //! per-chunk scratch buffers over a [`PairBatch`] — no per-pair
 //! normalization, tokenization, or hashing. The scalar per-pair path
@@ -26,9 +31,10 @@ use std::sync::Arc;
 use fairem_ml::Matrix;
 use fairem_neural::{HashVocab, TokenPair};
 use fairem_par::{ChunkPanic, MemPressure, ParOutcome};
+use fairem_text::prepared::{append_offsets, offsets_with_capacity};
 use fairem_text::{
-    measure_cells, rel_diff_sim, tfidf_cosine_cells, word_tokens, PreparedColumn, SimScratch,
-    StringMeasure, TfIdfCorpus, TokenInterner,
+    for_each_word_token, measure_cells, prepare_chunked, rel_diff_sim, tfidf_cosine_cells,
+    ChunkColumn, PreparedColumn, SimScratch, StringMeasure, TfIdfCorpus, TokenInterner,
 };
 
 use crate::exec::{Exec, PairBatch};
@@ -43,6 +49,10 @@ pub const TEXT_MEASURES: [StringMeasure; 6] = [
     StringMeasure::MongeElkan,
     StringMeasure::CosineWords,
 ];
+
+/// Rows per build chunk. Fixed, so the chunking does not depend on the
+/// worker count (the ids and arrays do not depend on it either way).
+const BUILD_CHUNK_ROWS: usize = 4096;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColKind {
@@ -63,7 +73,7 @@ struct AlignedColumn {
 /// A numeric column prepared once at build time: parsed values, interned
 /// whole-cell ids (for the exact-match feature), and interned raw word
 /// tokens (for the neural tokenizer).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct NumericColumn {
     value: Vec<f64>,
     cell: Vec<u32>,
@@ -73,29 +83,65 @@ struct NumericColumn {
 }
 
 impl NumericColumn {
-    fn prepare<'a>(
+    fn words(&self, row: usize) -> &[u32] {
+        &self.words[self.words_off[row] as usize..self.words_off[row + 1] as usize]
+    }
+}
+
+impl ChunkColumn for NumericColumn {
+    /// Each cell interns its whole string, then its word tokens.
+    fn prepare_cells<'a>(
         cells: impl Iterator<Item = &'a str>,
         interner: &mut TokenInterner,
     ) -> NumericColumn {
-        let mut col = NumericColumn {
-            words_off: vec![0],
-            ..NumericColumn::default()
-        };
+        let mut col = NumericColumn::with_capacity_for(&[]);
+        let mut tok = String::new();
         for cell in cells {
             col.value.push(parse_num(cell));
             col.cell.push(interner.intern(cell));
             col.empty.push(cell.is_empty());
-            for w in word_tokens(cell) {
-                col.words.push(interner.intern(&w));
-            }
+            for_each_word_token(cell, &mut tok, |w| col.words.push(interner.intern(w)));
             col.words_off.push(col.words.len() as u32);
         }
         col
     }
 
-    fn words(&self, row: usize) -> &[u32] {
-        &self.words[self.words_off[row] as usize..self.words_off[row + 1] as usize]
+    fn with_capacity_for(parts: &[&NumericColumn]) -> NumericColumn {
+        let rows = parts.iter().map(|p| p.value.len()).sum();
+        NumericColumn {
+            value: Vec::with_capacity(rows),
+            cell: Vec::with_capacity(rows),
+            empty: Vec::with_capacity(rows),
+            words: Vec::with_capacity(parts.iter().map(|p| p.words.len()).sum()),
+            words_off: offsets_with_capacity(rows),
+        }
     }
+
+    fn append_remapped(&mut self, part: &NumericColumn, ids: &[u32]) {
+        let map = |id: &u32| ids[*id as usize];
+        self.value.extend_from_slice(&part.value);
+        self.cell.extend(part.cell.iter().map(map));
+        self.empty.extend_from_slice(&part.empty);
+        append_offsets(&mut self.words_off, &part.words_off);
+        self.words.extend(part.words.iter().map(map));
+    }
+}
+
+/// Prepare column `col` of `t` in [`BUILD_CHUNK_ROWS`]-row chunks on
+/// `exec`'s pool, interning into `interner`.
+fn prepare_side<C: ChunkColumn>(
+    t: &Table,
+    col: usize,
+    interner: &mut TokenInterner,
+    exec: &Exec,
+) -> C {
+    prepare_chunked(
+        t.len(),
+        BUILD_CHUNK_ROWS,
+        |row| t.value(row, col),
+        interner,
+        |n, prep| exec.pool.par_map(n, prep),
+    )
 }
 
 /// The columnar build product: one shared interner plus, per aligned
@@ -148,9 +194,14 @@ impl FeatureGenerator {
     /// every cell once, and fit the TF-IDF corpus over every text value
     /// in both tables.
     ///
+    /// Cells are prepared in fixed-length row chunks on `exec`'s pool
+    /// (`Exec::sequential()` without a run). The generator is the same
+    /// for every pool, token ids included.
+    ///
     /// # Panics
-    /// If no columns align.
-    pub fn build(a: &Table, b: &Table, exclude: &[&str]) -> FeatureGenerator {
+    /// If no columns align, or (re-raised from a worker) if preparing a
+    /// chunk panics.
+    pub fn build(a: &Table, b: &Table, exclude: &[&str], exec: &Exec) -> FeatureGenerator {
         let mut columns = Vec::new();
         let mut interner = TokenInterner::new();
         let mut text: Vec<(PreparedColumn, PreparedColumn)> = Vec::new();
@@ -167,28 +218,18 @@ impl FeatureGenerator {
             } else {
                 ColKind::Text
             };
+            // One side at a time, a's before b's: the chunk vocabularies
+            // are absorbed in (column, side, chunk) order.
             let slot = match kind {
                 ColKind::Text => {
-                    let pa = PreparedColumn::prepare(
-                        (0..a.len()).map(|r| a.value(r, a_col)),
-                        &mut interner,
-                    );
-                    let pb = PreparedColumn::prepare(
-                        (0..b.len()).map(|r| b.value(r, b_col)),
-                        &mut interner,
-                    );
+                    let pa = prepare_side(a, a_col, &mut interner, exec);
+                    let pb = prepare_side(b, b_col, &mut interner, exec);
                     text.push((pa, pb));
                     text.len() - 1
                 }
                 ColKind::Numeric => {
-                    let na = NumericColumn::prepare(
-                        (0..a.len()).map(|r| a.value(r, a_col)),
-                        &mut interner,
-                    );
-                    let nb = NumericColumn::prepare(
-                        (0..b.len()).map(|r| b.value(r, b_col)),
-                        &mut interner,
-                    );
+                    let na = prepare_side(a, a_col, &mut interner, exec);
+                    let nb = prepare_side(b, b_col, &mut interner, exec);
                     numeric.push((na, nb));
                     numeric.len() - 1
                 }
@@ -205,6 +246,14 @@ impl FeatureGenerator {
             !columns.is_empty(),
             "no alignable feature columns between tables"
         );
+        let side_chunks = |t: &Table| t.len().div_ceil(BUILD_CHUNK_ROWS) as u64;
+        let n_cols = columns.len() as u64;
+        exec.recorder.add(
+            "features.build.chunks",
+            n_cols * (side_chunks(a) + side_chunks(b)),
+        );
+        exec.recorder
+            .add("features.build.cells", n_cols * (a.len() + b.len()) as u64);
         // Document frequencies over the raw word tokens of every text
         // cell (a's rows then b's rows per column — df is a pure count,
         // so the accumulation order is immaterial to the result).
@@ -238,6 +287,12 @@ impl FeatureGenerator {
                 numeric,
             }),
         }
+    }
+
+    /// The build's token interner: every token of every aligned cell,
+    /// with ids in first-encounter order.
+    pub fn interner(&self) -> &TokenInterner {
+        &self.interned.interner
     }
 
     /// Number of features per pair.
@@ -516,7 +571,7 @@ mod tests {
     #[test]
     fn aligns_columns_and_excludes_sensitive() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let names = g.names();
         assert!(names.iter().all(|n| !n.starts_with("country")));
         assert!(names.iter().all(|n| !n.starts_with("id")));
@@ -530,7 +585,7 @@ mod tests {
     #[test]
     fn features_reflect_similarity() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let same_person = g.features(&a, 0, &b, 0); // li wei vs wei li, same price
         let diff_person = g.features(&a, 0, &b, 1);
         // Token-order-insensitive measures should be 1.0 for the flip.
@@ -548,7 +603,7 @@ mod tests {
     #[test]
     fn matrix_stacks_pairs() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let pairs = [(0, 0), (1, 1), (0, 1)];
         let m = complete(g.matrix(&PairBatch::new(&pairs), &Exec::default()));
         assert_eq!(m.rows(), 3);
@@ -559,7 +614,7 @@ mod tests {
     #[test]
     fn batch_kernels_match_scalar_features_bit_for_bit() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let pairs = all_pairs(&a, &b);
         let m = complete(g.matrix(&PairBatch::new(&pairs), &Exec::default()));
         for (i, &(ra, rb)) in pairs.iter().enumerate() {
@@ -575,7 +630,7 @@ mod tests {
     #[test]
     fn parallel_matrix_is_bitwise_identical_to_sequential() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let pairs = all_pairs(&a, &b);
         let batch = PairBatch::new(&pairs);
         let seq = complete(g.matrix(&batch, &Exec::default()));
@@ -597,7 +652,7 @@ mod tests {
     #[allow(deprecated)]
     fn scalar_oracle_agrees_with_the_batch_path() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let pairs = all_pairs(&a, &b);
         let new = complete(g.matrix(&PairBatch::new(&pairs), &Exec::default()));
         let old = g.matrix_pairs(&a, &b, &pairs);
@@ -611,7 +666,7 @@ mod tests {
     #[test]
     fn budget_expiry_interrupts_the_batch() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let pairs = all_pairs(&a, &b);
         // A zero-step budget trips at the first inter-chunk checkpoint.
         let exec = Exec::sequential().budget(Budget::steps(0));
@@ -627,7 +682,7 @@ mod tests {
     #[test]
     fn tokenize_covers_aligned_columns() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let vocab = HashVocab::new(128);
         let tp = g.tokenize(&a, 0, &b, 0, &vocab);
         assert_eq!(tp.n_attrs(), 2); // name + price
@@ -637,7 +692,7 @@ mod tests {
     #[test]
     fn interned_tokenize_all_matches_per_pair_tokenize() {
         let (a, b) = tables();
-        let g = FeatureGenerator::build(&a, &b, &["country"]);
+        let g = FeatureGenerator::build(&a, &b, &["country"], &Exec::sequential());
         let vocab = HashVocab::new(128);
         let pairs = all_pairs(&a, &b);
         let batch = g.tokenize_all(&PairBatch::new(&pairs), &vocab);
@@ -653,7 +708,7 @@ mod tests {
     fn empty_cells_tokenize_to_the_empty_marker() {
         let a = Table::from_csv(parse_csv_str("id,name\na0,\n").unwrap()).unwrap();
         let b = Table::from_csv(parse_csv_str("id,name\nb0,smith\n").unwrap()).unwrap();
-        let g = FeatureGenerator::build(&a, &b, &[]);
+        let g = FeatureGenerator::build(&a, &b, &[], &Exec::sequential());
         let vocab = HashVocab::new(64);
         let tps = g.tokenize_all(&PairBatch::new(&[(0, 0)]), &vocab);
         assert_eq!(tps[0].left[0], vec![0], "empty cell gets the marker");
@@ -664,7 +719,7 @@ mod tests {
     fn empty_numeric_values_yield_zero_similarity() {
         let a = Table::from_csv(parse_csv_str("id,v\na0,\n").unwrap()).unwrap();
         let b = Table::from_csv(parse_csv_str("id,v\nb0,3.5\n").unwrap()).unwrap();
-        let g = FeatureGenerator::build(&a, &b, &[]);
+        let g = FeatureGenerator::build(&a, &b, &[], &Exec::sequential());
         let f = g.features(&a, 0, &b, 0);
         assert_eq!(f[0], 0.0); // NaN rel-diff → 0 via rel_diff_sim
         assert_eq!(f[1], 0.0); // not exact
@@ -678,6 +733,131 @@ mod tests {
     fn disjoint_schemas_panic() {
         let a = Table::from_csv(parse_csv_str("id,x\na0,1\n").unwrap()).unwrap();
         let b = Table::from_csv(parse_csv_str("id,y\nb0,2\n").unwrap()).unwrap();
-        let _ = FeatureGenerator::build(&a, &b, &[]);
+        let _ = FeatureGenerator::build(&a, &b, &[], &Exec::sequential());
+    }
+
+    /// A mixed text/numeric table of `rows` rows: text with repeats,
+    /// case folding, CJK and separator-only cells; numbers with empty
+    /// cells, repeats, and a word-splitting sign and exponent.
+    fn mixed_table(prefix: &str, rows: usize, salt: usize) -> Table {
+        const WORDS: [&str; 9] = [
+            "İstanbul",
+            "straße",
+            "東京",
+            "data",
+            "base",
+            "smith",
+            "o'brien",
+            "--",
+            "école",
+        ];
+        let rows = (0..rows)
+            .map(|i| {
+                let k = i * 7 + salt;
+                let name = match k % 11 {
+                    0 => String::new(),
+                    1 => " ,; ".to_owned(),
+                    _ => format!("{} {}-{}", WORDS[k % 9], WORDS[(k / 9) % 9], k % 97),
+                };
+                let price = match k % 13 {
+                    0 => String::new(),
+                    1 => "-1.5e3".to_owned(),
+                    _ => format!("{}.{}", k % 53, k % 10),
+                };
+                let country = ["cn", "us", "de"][k % 3].to_owned();
+                vec![format!("{prefix}{i}"), name, price, country]
+            })
+            .collect();
+        Table::from_csv(fairem_csvio::CsvTable {
+            header: ["id", "name", "price", "country"]
+                .map(String::from)
+                .to_vec(),
+            rows,
+        })
+        .unwrap()
+    }
+
+    /// The one-pass build: every aligned column side prepared in
+    /// sequence against one interner, with no chunking.
+    fn one_pass(g: &FeatureGenerator, a: &Table, b: &Table) -> Interned {
+        let mut interner = TokenInterner::new();
+        let (mut text, mut numeric) = (Vec::new(), Vec::new());
+        fn cells(t: &Table, col: usize) -> impl Iterator<Item = &str> {
+            (0..t.len()).map(move |r| t.value(r, col))
+        }
+        for c in &g.columns {
+            match c.kind {
+                ColKind::Text => {
+                    let pa = PreparedColumn::prepare(cells(a, c.a_col), &mut interner);
+                    let pb = PreparedColumn::prepare(cells(b, c.b_col), &mut interner);
+                    text.push((pa, pb));
+                }
+                ColKind::Numeric => {
+                    let na = NumericColumn::prepare_cells(cells(a, c.a_col), &mut interner);
+                    let nb = NumericColumn::prepare_cells(cells(b, c.b_col), &mut interner);
+                    numeric.push((na, nb));
+                }
+            }
+        }
+        let mut df = Vec::new();
+        let mut n_docs = 0;
+        for (pa, pb) in &text {
+            n_docs += pa.accumulate_doc_freq(&mut df);
+            n_docs += pb.accumulate_doc_freq(&mut df);
+        }
+        df.resize(interner.len(), 0);
+        let rank = interner.string_ranks();
+        for (pa, pb) in &mut text {
+            pa.finish_tfidf(&df, n_docs, &rank);
+            pb.finish_tfidf(&df, n_docs, &rank);
+        }
+        Interned {
+            interner,
+            text,
+            numeric,
+        }
+    }
+
+    /// `x == y` with the parsed values compared by bits (an empty cell
+    /// parses to NaN, which `==` never equals).
+    fn same_numeric(x: &NumericColumn, y: &NumericColumn) -> bool {
+        let bits = |c: &NumericColumn| c.value.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let rest = |c: &NumericColumn| NumericColumn {
+            value: Vec::new(),
+            ..c.clone()
+        };
+        bits(x) == bits(y) && rest(x) == rest(y)
+    }
+
+    #[test]
+    fn chunked_build_equals_the_one_pass_build_on_every_pool() {
+        // Three chunks per side, the last one short.
+        let rows = 2 * BUILD_CHUNK_ROWS + 37;
+        let a = mixed_table("a", rows, 0);
+        let b = mixed_table("b", rows - 5, 3);
+        for workers in [1, 2, 4] {
+            let recorder = fairem_obs::Recorder::enabled();
+            let exec = Exec::with_pool(WorkerPool::new(workers)).observe(recorder.clone());
+            let g = FeatureGenerator::build(&a, &b, &["country"], &exec);
+            assert_eq!(g.names().len(), 9, "name is text, price numeric");
+            let want = one_pass(&g, &a, &b);
+            let got = &*g.interned;
+            assert!(got.interner == want.interner, "{workers} workers: interner");
+            assert!(got.text == want.text, "{workers} workers: text columns");
+            assert_eq!(got.numeric.len(), want.numeric.len());
+            for ((ga, gb), (wa, wb)) in got.numeric.iter().zip(&want.numeric) {
+                assert!(
+                    same_numeric(ga, wa) && same_numeric(gb, wb),
+                    "{workers} workers"
+                );
+            }
+            let counters = recorder.snapshot().counters;
+            let count = |name: &str| counters.iter().find(|c| c.0 == name).map(|c| c.1);
+            assert_eq!(count("features.build.chunks"), Some(2 * (3 + 3)));
+            assert_eq!(
+                count("features.build.cells"),
+                Some(2 * (2 * rows - 5) as u64)
+            );
+        }
     }
 }

@@ -547,7 +547,7 @@ impl FairEm360 {
             })?;
         let features = fault::guard(|| {
             plan.trip(FaultSite::FeatureGen, None);
-            FeatureGenerator::build(&table_a, &table_b, &exclude)
+            FeatureGenerator::build(&table_a, &table_b, &exclude, &exec)
         })
         .map_err(|detail| {
             build_span.set_status(SpanStatus::Panicked);

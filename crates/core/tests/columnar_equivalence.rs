@@ -12,11 +12,14 @@ use fairem_core::blocking::{
 use fairem_core::features::FeatureGenerator;
 use fairem_core::schema::Table;
 use fairem_core::{Exec, PairBatch, ParOutcome, Parallelism, WorkerPool};
+use fairem_csvio::CsvTable;
 use fairem_datasets::{
-    citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig,
+    citations, wdc_products, CitationsConfig, GeneratedDataset, ProductsConfig, ScaleConfig,
+    ScaleDataset,
 };
 use fairem_ml::Matrix;
 use fairem_neural::HashVocab;
+use fairem_obs::Recorder;
 
 /// The parallelism policies the results must be invariant under.
 const POLICIES: [Parallelism; 3] = [
@@ -39,8 +42,113 @@ fn tables(d: &GeneratedDataset) -> (Table, Table) {
 }
 
 fn generator(d: &GeneratedDataset, a: &Table, b: &Table) -> FeatureGenerator {
+    generator_on(d, a, b, &Exec::sequential())
+}
+
+fn generator_on(d: &GeneratedDataset, a: &Table, b: &Table, exec: &Exec) -> FeatureGenerator {
     let exclude: Vec<&str> = d.sensitive.iter().map(String::as_str).collect();
-    FeatureGenerator::build(a, b, &exclude)
+    FeatureGenerator::build(a, b, &exclude, exec)
+}
+
+/// A mixed numeric/text dataset whose sides each span several build
+/// chunks: text with repeats, unicode case folding, CJK and empty
+/// cells; numbers with empty cells and repeats.
+fn mixed_dataset(rows: usize) -> GeneratedDataset {
+    const WORDS: [&str; 8] = [
+        "İstanbul",
+        "straße",
+        "東京",
+        "data",
+        "base",
+        "smith",
+        "--",
+        "école",
+    ];
+    let table = |prefix: &str, salt: usize, rows: usize| CsvTable {
+        header: ["id", "name", "qty", "price", "group"]
+            .map(String::from)
+            .to_vec(),
+        rows: (0..rows)
+            .map(|i| {
+                let k = i * 5 + salt;
+                let name = if k.is_multiple_of(17) {
+                    String::new()
+                } else {
+                    format!("{} {} {}", WORDS[k % 8], WORDS[(k / 8) % 8], k % 101)
+                };
+                let qty = if k.is_multiple_of(19) {
+                    String::new()
+                } else {
+                    (k % 41).to_string()
+                };
+                vec![
+                    format!("{prefix}{i}"),
+                    name,
+                    qty,
+                    format!("{}.{}", k % 89, k % 7),
+                    ["x", "y"][k % 2].to_owned(),
+                ]
+            })
+            .collect(),
+    };
+    GeneratedDataset {
+        name: "Mixed".to_owned(),
+        table_a: table("a", 0, rows),
+        table_b: table("b", 2, rows - 11),
+        matches: Vec::new(),
+        sensitive: vec!["group".to_owned()],
+    }
+}
+
+fn assert_same_interner(want: &FeatureGenerator, got: &FeatureGenerator, ctx: &str) {
+    let (w, g) = (want.interner(), got.interner());
+    assert_eq!(w.len(), g.len(), "{ctx}: interner size");
+    for id in 0..w.len() as u32 {
+        assert_eq!(w.resolve(id), g.resolve(id), "{ctx}: token id {id}");
+    }
+}
+
+/// Build `d` under every policy and check each build against the
+/// sequential one (same interner, token for token) and against the
+/// scalar oracle (bit-identical matrix, identical tokenization).
+/// Returns the chunk count each build recorded.
+fn check_builds_under_every_policy(d: &GeneratedDataset, n_pairs: usize) -> u64 {
+    let (a, b) = tables(d);
+    let reference = generator(d, &a, &b);
+    let pairs = sample_pairs(&a, &b, n_pairs);
+    let oracle = reference.matrix_pairs(&a, &b, &pairs);
+    let vocab = HashVocab::new(256);
+    let mut chunks = Vec::new();
+    for policy in POLICIES {
+        let ctx = format!("{} built under {policy:?}", d.name);
+        let recorder = Recorder::enabled();
+        let exec = Exec::with_pool(WorkerPool::with_parallelism(policy)).observe(recorder.clone());
+        let gen = generator_on(d, &a, &b, &exec);
+        assert_same_interner(&reference, &gen, &ctx);
+        let m = complete(gen.matrix(&PairBatch::new(&pairs), &exec));
+        assert_bitwise_eq(&oracle, &m, &ctx);
+        let tokens = gen.tokenize_all(&PairBatch::new(&pairs), &vocab);
+        for (i, &(ra, rb)) in pairs.iter().enumerate() {
+            assert_eq!(
+                tokens[i],
+                reference.tokenize(&a, ra, &b, rb, &vocab),
+                "{ctx}: pair {i}"
+            );
+        }
+        let snap = recorder.snapshot();
+        chunks.push(
+            snap.counters
+                .iter()
+                .find(|c| c.0 == "features.build.chunks")
+                .map(|c| c.1),
+        );
+    }
+    assert!(
+        chunks.iter().all(|&c| c == chunks[0]),
+        "{}: chunking varied: {chunks:?}",
+        d.name
+    );
+    chunks[0].unwrap_or(0)
 }
 
 /// A deterministic pair sample spanning both tables, including repeated
@@ -88,6 +196,30 @@ fn feature_matrices_are_bit_for_bit_identical_across_paths_and_policies() {
             assert_bitwise_eq(&reference, &new, &format!("{} columnar/{policy:?}", d.name));
         }
     }
+}
+
+#[test]
+fn builds_are_identical_under_every_policy() {
+    for d in datasets() {
+        check_builds_under_every_policy(&d, 300);
+    }
+    let d = mixed_dataset(9_000);
+    let chunks = check_builds_under_every_policy(&d, 300);
+    // 3 aligned columns x 2 sides: more chunks than sides means every
+    // side was cut into several.
+    assert!(chunks >= 3 * 2 * 2, "mixed fixture spans {chunks} chunks");
+}
+
+/// ScaleMatch at its default 12 800 rows a table: at least 3 build
+/// chunks per side. Too slow for the debug test matrix; `check.sh`
+/// runs it in release.
+#[test]
+#[ignore = "release-only: run with --release -- --include-ignored"]
+fn scale_match_builds_are_identical_under_every_policy() {
+    let d = ScaleDataset::new(ScaleConfig::default()).materialize();
+    let chunks = check_builds_under_every_policy(&d, 2_000);
+    // name and detail are the aligned columns (id and tier excluded).
+    assert!(chunks >= 2 * 2 * 3, "ScaleMatch spans only {chunks} chunks");
 }
 
 #[test]

@@ -50,6 +50,12 @@ pub const SPAN_ENSEMBLE: &str = "ensemble";
 pub const IMPORT_ROWS: &str = "import.rows";
 /// Rows quarantined on lenient import.
 pub const IMPORT_QUARANTINED: &str = "import.quarantined";
+/// Row chunks the feature-generator build prepared (every aligned
+/// column side is cut into fixed-length chunks).
+pub const FEATURES_BUILD_CHUNKS: &str = "features.build.chunks";
+/// Cells the feature-generator build prepared, over every aligned
+/// column of both tables.
+pub const FEATURES_BUILD_CELLS: &str = "features.build.cells";
 /// Candidate pairs featurized.
 pub const FEATURES_PAIRS: &str = "features.pairs";
 /// Blocking tokens considered eligible.
@@ -148,6 +154,8 @@ pub const ALL: &[&str] = &[
     SPAN_ENSEMBLE,
     ENSEMBLE_ASSIGNMENTS,
     SPAN_FEATURES,
+    FEATURES_BUILD_CELLS,
+    FEATURES_BUILD_CHUNKS,
     FEATURES_PAIRS,
     SPAN_IMPORT,
     IMPORT_QUARANTINED,

@@ -27,13 +27,15 @@ pub use edit::{
     normalized_damerau_levenshtein, normalized_levenshtein, smith_waterman_sim, SimScratch,
 };
 pub use intern::TokenInterner;
-pub use normalize::normalize;
+pub use normalize::{normalize, normalize_into};
 pub use numeric::{abs_diff_sim, exact_sim, rel_diff_sim};
 pub use phonetic::{nysiis, nysiis_sim, soundex, soundex_sim};
-pub use prepared::{measure_cells, tfidf_cosine_cells, PreparedColumn};
+pub use prepared::{
+    measure_cells, prepare_chunked, tfidf_cosine_cells, ChunkColumn, PreparedColumn,
+};
 pub use setsim::{cosine_tokens, dice, jaccard, monge_elkan, overlap_coefficient};
 pub use tfidf::{TfIdfCorpus, TfIdfCorpusBuilder};
-pub use tokenize::{qgrams, word_tokens};
+pub use tokenize::{for_each_qgram, for_each_word_token, qgrams, word_tokens};
 
 /// Enumeration of every string-similarity measure this crate exposes,
 /// usable as a dynamically-selected kernel (e.g. by the feature generator).

@@ -1,5 +1,29 @@
 //! Lightweight string normalization applied before similarity computation.
 
+use crate::tokenize::push_lowercase;
+
+/// Write the normalized form of `s` into `out` (cleared first), so a hot
+/// loop can normalize every cell into one reused buffer. This is the one
+/// definition; [`normalize`] wraps it.
+pub fn normalize_into(s: &str, out: &mut String) {
+    out.clear();
+    let mut last_space = true; // leading whitespace is dropped
+    for ch in s.chars() {
+        if ch.is_whitespace() {
+            if !last_space {
+                out.push(' ');
+                last_space = true;
+            }
+        } else {
+            push_lowercase(out, ch);
+            last_space = false;
+        }
+    }
+    if out.ends_with(' ') {
+        out.pop();
+    }
+}
+
 /// Lowercase, trim, and collapse internal whitespace runs to single spaces.
 ///
 /// Non-alphanumeric punctuation is preserved (edit-distance measures care
@@ -10,23 +34,7 @@
 /// ```
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut last_space = true; // leading whitespace is dropped
-    for ch in s.chars() {
-        if ch.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-            last_space = false;
-        }
-    }
-    if out.ends_with(' ') {
-        out.pop();
-    }
+    normalize_into(s, &mut out);
     out
 }
 

@@ -17,17 +17,29 @@
 //! partial sum is an exactly-representable integer), and the TF-IDF
 //! kernel merges in interner *rank* order, which is order-isomorphic
 //! to the scalar path's token-string sort.
+//!
+//! # Chunked preparation
+//!
+//! [`prepare_chunked`] cuts a column side into fixed-length row chunks
+//! and prepares each against its own chunk-local [`TokenInterner`], so
+//! the chunks can run on any number of threads. It then absorbs the
+//! chunk vocabularies into the caller's interner in chunk order, which
+//! assigns exactly the ids a one-pass [`PreparedColumn::prepare`]
+//! assigns, and copies each chunk into arrays allocated at their exact
+//! final size, mapping its ids through its local-to-final table and
+//! re-sorting the per-cell id-sorted sets. The result equals the
+//! one-pass preparation field for field (the unit tests pin this).
 
 use crate::edit::{
     jaro_winkler_chars_with, normalized_levenshtein_chars_with, SimScratch,
 };
 use crate::intern::TokenInterner;
-use crate::normalize::normalize;
-use crate::tokenize::{qgrams, word_tokens};
+use crate::normalize::normalize_into;
+use crate::tokenize::{for_each_qgram, for_each_word_token};
 use crate::StringMeasure;
 
 /// One text column side, fully tokenized and interned.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PreparedColumn {
     // normalize(cell) as flattened chars.
     norm_chars: Vec<char>,
@@ -68,30 +80,28 @@ impl PreparedColumn {
     /// vectors are *not* ready yet — call
     /// [`PreparedColumn::finish_tfidf`] once corpus document
     /// frequencies are accumulated across all prepared columns.
+    ///
+    /// Each cell interns, in order: the word tokens of its normalized
+    /// form, the padded 3-grams of its normalized form, then the word
+    /// tokens of the raw string. Every token is built in a reused
+    /// buffer, so the loop allocates only when the interner meets a new
+    /// token or an output array grows.
     pub fn prepare<'a>(
         cells: impl Iterator<Item = &'a str>,
         interner: &mut TokenInterner,
     ) -> PreparedColumn {
-        let mut col = PreparedColumn {
-            norm_off: vec![0],
-            words_off: vec![0],
-            wc_off: vec![0],
-            qset_off: vec![0],
-            raw_off: vec![0],
-            rawc_off: vec![0],
-            tf_off: vec![0],
-            ..PreparedColumn::default()
-        };
+        let mut col = PreparedColumn::with_capacity_for(&[]);
+        let mut norm = String::new();
+        let mut tok = String::new();
+        let mut padded: Vec<char> = Vec::new();
         let mut ids: Vec<u32> = Vec::new();
         for cell in cells {
-            let norm = normalize(cell);
+            normalize_into(cell, &mut norm);
             col.norm_chars.extend(norm.chars());
             col.norm_off.push(col.norm_chars.len() as u32);
 
             let cell_words_start = col.words.len();
-            for tok in word_tokens(&norm) {
-                col.words.push(interner.intern(&tok));
-            }
+            for_each_word_token(&norm, &mut tok, |t| col.words.push(interner.intern(t)));
             col.words_off.push(col.words.len() as u32);
 
             ids.clear();
@@ -101,18 +111,16 @@ impl PreparedColumn {
             col.wc_off.push(col.wc_ids.len() as u32);
 
             ids.clear();
-            for gram in qgrams(&norm, 3) {
-                ids.push(interner.intern(&gram));
-            }
+            for_each_qgram(&norm, 3, &mut padded, &mut tok, |g| {
+                ids.push(interner.intern(g))
+            });
             ids.sort_unstable();
             ids.dedup();
             col.qset.extend_from_slice(&ids);
             col.qset_off.push(col.qset.len() as u32);
 
             let cell_raw_start = col.raw_words.len();
-            for tok in word_tokens(cell) {
-                col.raw_words.push(interner.intern(&tok));
-            }
+            for_each_word_token(cell, &mut tok, |t| col.raw_words.push(interner.intern(t)));
             col.raw_off.push(col.raw_words.len() as u32);
 
             ids.clear();
@@ -234,6 +242,185 @@ impl PreparedColumn {
     pub fn tfidf_norm(&self, cell: usize) -> f64 {
         self.tf_norms[cell]
     }
+}
+
+/// A column side that [`prepare_chunked`] can build one row chunk at a
+/// time and stitch back together.
+pub trait ChunkColumn: Sized + Send {
+    /// Prepare `cells` in one pass against `interner`.
+    fn prepare_cells<'a>(
+        cells: impl Iterator<Item = &'a str>,
+        interner: &mut TokenInterner,
+    ) -> Self;
+
+    /// An empty column whose arrays have room for exactly the cells of
+    /// `parts`, so appending them never reallocates.
+    fn with_capacity_for(parts: &[&Self]) -> Self;
+
+    /// Append `part`, mapping each of its token ids through `ids` (its
+    /// chunk-local id → the final id) and restoring id order wherever a
+    /// cell's ids are stored sorted.
+    fn append_remapped(&mut self, part: &Self, ids: &[u32]);
+}
+
+/// One row chunk of a column side, prepared against its own
+/// chunk-local interner.
+#[derive(Debug)]
+pub struct LocalChunk<C> {
+    col: C,
+    vocab: TokenInterner,
+}
+
+/// Prepare the `n_cells` cells `cell(0..n_cells)` of one column side in
+/// row chunks of `chunk_len`, interning into `interner`.
+///
+/// `map_chunks(n_chunks, prep)` must return `prep(k)` for every chunk
+/// `k` in `0..n_chunks`, in chunk order. It may run them on a pool:
+/// each chunk owns its interner, so chunks share nothing. The chunk
+/// vocabularies are then absorbed into `interner` in chunk order and
+/// each chunk is copied into the result, and dropped, in turn. The
+/// result, and every id `interner` assigns, are exactly those of
+/// `C::prepare_cells` over all the cells in one pass, for any
+/// `chunk_len`.
+///
+/// # Panics
+/// If `chunk_len` is 0.
+pub fn prepare_chunked<'a, C: ChunkColumn>(
+    n_cells: usize,
+    chunk_len: usize,
+    cell: impl Fn(usize) -> &'a str + Sync,
+    interner: &mut TokenInterner,
+    map_chunks: impl FnOnce(usize, &(dyn Fn(usize) -> LocalChunk<C> + Sync)) -> Vec<LocalChunk<C>>,
+) -> C {
+    assert!(chunk_len >= 1, "chunk length must be >= 1");
+    let chunks = map_chunks(n_cells.div_ceil(chunk_len), &|k| {
+        let rows = k * chunk_len..((k + 1) * chunk_len).min(n_cells);
+        let mut vocab = TokenInterner::new();
+        let col = C::prepare_cells(rows.map(&cell), &mut vocab);
+        LocalChunk { col, vocab }
+    });
+    let parts: Vec<&C> = chunks.iter().map(|c| &c.col).collect();
+    let mut out = C::with_capacity_for(&parts);
+    for chunk in chunks {
+        let ids = interner.absorb(&chunk.vocab);
+        out.append_remapped(&chunk.col, &ids);
+    }
+    out
+}
+
+impl ChunkColumn for PreparedColumn {
+    fn prepare_cells<'a>(
+        cells: impl Iterator<Item = &'a str>,
+        interner: &mut TokenInterner,
+    ) -> PreparedColumn {
+        PreparedColumn::prepare(cells, interner)
+    }
+
+    fn with_capacity_for(parts: &[&PreparedColumn]) -> PreparedColumn {
+        let total = |len: fn(&PreparedColumn) -> usize| parts.iter().map(|p| len(p)).sum();
+        let offsets = || offsets_with_capacity(total(PreparedColumn::len));
+        PreparedColumn {
+            norm_chars: Vec::with_capacity(total(|p| p.norm_chars.len())),
+            norm_off: offsets(),
+            words: Vec::with_capacity(total(|p| p.words.len())),
+            words_off: offsets(),
+            wc_ids: Vec::with_capacity(total(|p| p.wc_ids.len())),
+            wc_counts: Vec::with_capacity(total(|p| p.wc_counts.len())),
+            wc_off: offsets(),
+            qset: Vec::with_capacity(total(|p| p.qset.len())),
+            qset_off: offsets(),
+            raw_words: Vec::with_capacity(total(|p| p.raw_words.len())),
+            raw_off: offsets(),
+            rawc_ids: Vec::with_capacity(total(|p| p.rawc_ids.len())),
+            rawc_counts: Vec::with_capacity(total(|p| p.rawc_counts.len())),
+            rawc_off: offsets(),
+            tf_off: vec![0],
+            ..PreparedColumn::default()
+        }
+    }
+
+    fn append_remapped(&mut self, part: &PreparedColumn, ids: &[u32]) {
+        debug_assert!(
+            part.tf_norms.is_empty(),
+            "chunks are stitched before TF-IDF"
+        );
+        let map = |id: &u32| ids[*id as usize];
+        append_offsets(&mut self.norm_off, &part.norm_off);
+        self.norm_chars.extend_from_slice(&part.norm_chars);
+        append_offsets(&mut self.words_off, &part.words_off);
+        self.words.extend(part.words.iter().map(map));
+        append_offsets(&mut self.raw_off, &part.raw_off);
+        self.raw_words.extend(part.raw_words.iter().map(map));
+        // The id map is injective, so every per-cell set keeps its size
+        // (and its offsets); only the order within a cell changes.
+        append_offsets(&mut self.qset_off, &part.qset_off);
+        for cell in 0..part.len() {
+            let lo = self.qset.len();
+            self.qset.extend(part.qgram_set(cell).iter().map(map));
+            self.qset[lo..].sort_unstable();
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        append_offsets(&mut self.wc_off, &part.wc_off);
+        for cell in 0..part.len() {
+            let (cell_ids, counts) = part.word_counts(cell);
+            push_remapped_counts(
+                cell_ids,
+                counts,
+                ids,
+                &mut pairs,
+                &mut self.wc_ids,
+                &mut self.wc_counts,
+            );
+        }
+        append_offsets(&mut self.rawc_off, &part.rawc_off);
+        for cell in 0..part.len() {
+            let (cell_ids, counts) = part.raw_counts(cell);
+            push_remapped_counts(
+                cell_ids,
+                counts,
+                ids,
+                &mut pairs,
+                &mut self.rawc_ids,
+                &mut self.rawc_counts,
+            );
+        }
+    }
+}
+
+/// An offsets array (`[0]`) with room for `cells` more entries.
+pub fn offsets_with_capacity(cells: usize) -> Vec<u32> {
+    let mut off = Vec::with_capacity(cells + 1);
+    off.push(0);
+    off
+}
+
+/// Append a chunk's offsets array (which starts at 0) to `dst`, shifted
+/// past the data `dst` already indexes.
+pub fn append_offsets(dst: &mut Vec<u32>, src: &[u32]) {
+    let base = dst.last().copied().unwrap_or(0);
+    dst.extend(src[1..].iter().map(|&o| o + base));
+}
+
+/// Push one cell's `(id, count)` multiset with its ids mapped through
+/// `map`, re-sorted by the mapped id.
+fn push_remapped_counts(
+    cell_ids: &[u32],
+    counts: &[u32],
+    map: &[u32],
+    pairs: &mut Vec<(u32, u32)>,
+    ids_out: &mut Vec<u32>,
+    counts_out: &mut Vec<u32>,
+) {
+    pairs.clear();
+    pairs.extend(
+        cell_ids
+            .iter()
+            .zip(counts)
+            .map(|(&id, &n)| (map[id as usize], n)),
+    );
+    pairs.sort_unstable();
+    ids_out.extend(pairs.iter().map(|&(id, _)| id));
+    counts_out.extend(pairs.iter().map(|&(_, n)| n));
 }
 
 fn slice_of<'a, T>(data: &'a [T], off: &[u32], cell: usize) -> &'a [T] {
@@ -483,7 +670,9 @@ pub fn measure_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::normalize;
     use crate::tfidf::TfIdfCorpusBuilder;
+    use crate::tokenize::{qgrams, word_tokens};
 
     /// Cell fixtures that exercise the nasty corners: empty cells,
     /// whitespace-only, duplicates, punctuation, unicode case folding
@@ -670,5 +859,110 @@ mod tests {
                 ((1.0 + n as f64) / (1.0 + df[id as usize] as f64)).ln() + 1.0;
             assert_eq!(idf_cols.to_bits(), f.corpus.idf(tok).to_bits(), "{tok}");
         }
+    }
+
+    /// Cells for the chunking tests: empty and all-separator cells,
+    /// case folding that re-segments (İ) or expands (ß stays, ẞ → ß),
+    /// combining marks, CJK, whitespace beyond ASCII (VT, NEL,
+    /// ideographic space), and tokens repeated across chunk borders.
+    fn chunk_cells() -> Vec<&'static str> {
+        vec![
+            "",
+            "--- ,.; ---",
+            "İstanbul Üniversitesi",
+            "Straße STRASSE ẞ",
+            "e\u{301}cole école",
+            "東京 大学 東京",
+            "a\u{0B}b\u{85}c\u{3000}d",
+            "",
+            "data base systems",
+            "Data-Base  systems",
+            "x",
+            "O'Brien-Smith, J.",
+            "   ",
+            "漢字かな",
+            "smith smith",
+        ]
+    }
+
+    /// Prepare both sides of a column pair chunked, with `map_chunks`
+    /// running the chunks.
+    fn chunked_pair(
+        a: &[&str],
+        b: &[&str],
+        chunk_len: usize,
+        interner: &mut TokenInterner,
+        reverse: bool,
+    ) -> (PreparedColumn, PreparedColumn) {
+        let mut side = |cells: &[&str]| -> PreparedColumn {
+            prepare_chunked(
+                cells.len(),
+                chunk_len,
+                |r| cells[r],
+                interner,
+                |n, prep| {
+                    if reverse {
+                        let mut out: Vec<_> = (0..n).rev().map(prep).collect();
+                        out.reverse();
+                        out
+                    } else {
+                        (0..n).map(prep).collect()
+                    }
+                },
+            )
+        };
+        let pa = side(a);
+        let pb = side(b);
+        (pa, pb)
+    }
+
+    fn finish(cols: &mut [&mut PreparedColumn], interner: &TokenInterner) {
+        let mut df = Vec::new();
+        let mut n_docs = 0;
+        for c in cols.iter() {
+            n_docs += c.accumulate_doc_freq(&mut df);
+        }
+        df.resize(interner.len(), 0);
+        let rank = interner.string_ranks();
+        for c in cols.iter_mut() {
+            c.finish_tfidf(&df, n_docs, &rank);
+        }
+    }
+
+    #[test]
+    fn chunked_prepare_equals_one_pass_prepare() {
+        let a = chunk_cells();
+        let b: Vec<&str> = a.iter().rev().copied().chain(cells_b()).collect();
+        let mut want_it = TokenInterner::new();
+        let want_a = PreparedColumn::prepare(a.iter().copied(), &mut want_it);
+        let want_b = PreparedColumn::prepare(b.iter().copied(), &mut want_it);
+        let len = a.len();
+        for chunk_len in [1, 2, 7, len, len + 1] {
+            for reverse in [false, true] {
+                let ctx = format!("chunk length {chunk_len}, reverse {reverse}");
+                let mut it = TokenInterner::new();
+                let (mut pa, mut pb) = chunked_pair(&a, &b, chunk_len, &mut it, reverse);
+                assert_eq!(it.len(), want_it.len(), "{ctx}");
+                for id in 0..it.len() as u32 {
+                    assert_eq!(it.resolve(id), want_it.resolve(id), "{ctx}: id {id}");
+                }
+                assert_eq!(pa, want_a, "{ctx}: side a");
+                assert_eq!(pb, want_b, "{ctx}: side b");
+                finish(&mut [&mut pa, &mut pb], &it);
+                let mut wa = want_a.clone();
+                let mut wb = want_b.clone();
+                finish(&mut [&mut wa, &mut wb], &want_it);
+                assert_eq!(pa, wa, "{ctx}: side a after TF-IDF");
+                assert_eq!(pb, wb, "{ctx}: side b after TF-IDF");
+            }
+        }
+        // An empty side is zero chunks and still a well-formed column.
+        let mut it = TokenInterner::new();
+        let (pa, _) = chunked_pair(&[], &[], 3, &mut it, false);
+        assert_eq!(
+            pa,
+            PreparedColumn::prepare(std::iter::empty(), &mut TokenInterner::new())
+        );
+        assert!(pa.is_empty() && it.is_empty());
     }
 }

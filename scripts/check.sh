@@ -47,6 +47,13 @@ FAIREM_JOBS=1 run_tests cargo test -q --workspace
 echo "== tier-1: workspace tests (FAIREM_JOBS=4, ${TEST_TIMEOUT}s cap) =="
 FAIREM_JOBS=4 run_tests cargo test -q --workspace
 
+# The chunked feature-generator build must equal the sequential one at
+# a size where every column side spans several chunks; that case is too
+# slow for the debug matrix above, so it runs here in release.
+echo "== equivalence: multi-chunk ScaleMatch build (release, ${TEST_TIMEOUT}s cap) =="
+FAIREM_JOBS=4 run_tests cargo test -q --release -p fairem-core \
+  --test columnar_equivalence -- --include-ignored
+
 echo "== lints: clippy, warnings denied, unwrap()/expect() banned outside tests =="
 cargo clippy --workspace -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
